@@ -13,6 +13,7 @@ by the quantum module).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar, Sequence
@@ -219,10 +220,17 @@ def to_json_dict(point: BehaviorPoint) -> dict:
     }
 
 
+def _decode_exact(v) -> Fraction:
+    """An exact JSON scalar: an integer or a "p/q" string, never a float."""
+    if type(v) is int or isinstance(v, str) and re.fullmatch(r"-?\d+(/0*[1-9]\d*)?", v):
+        return Fraction(v)
+    raise ValueError(f"exact behavior entries are integers or \"p/q\" strings, got {v!r}")
+
+
 def from_json_dict(doc: dict) -> BehaviorPoint:
     backend = doc.get("backend", "exact")
     if backend == "exact":
-        dec = lambda v: Fraction(v)
+        dec = _decode_exact
     elif backend == "float":
         dec = lambda v: float(v)
     else:

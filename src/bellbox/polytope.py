@@ -1,6 +1,7 @@
 """Facet verification, no-signaling vertex enumeration, and exact rank checks.
 
-A facet certificate for an inequality over a strategy class bundles the
+Every behavior here is gathered from the option table of `strategies`, for
+the local class and for one box alike.  A facet certificate bundles the
 exact class maximum, the saturating behaviors, and the affine rank of the
 saturating set; it is accepted exactly when the maximum is 0 and the rank
 is N(N+2)-1.  Vertex-hood of enumerated points rests on the generate /
@@ -21,13 +22,11 @@ from .behavior import BehaviorPoint, Scenario, from_half_units, to_half_units, v
 from .functionals import BellFunctional, make_c1, make_c2, make_chsh, make_inn22, make_mnn22, orbit
 from .machines import MachineSpec, gf2_rank, machine_behavior, pr_machine
 from .strategies import (
-    _code_vectors,
-    _DecoupledMax,
-    _joint_halves,
-    _marginal_halves,
-    alphabet_size,
-    behavior_half_vector,
+    DecoupledMax,
     deterministic_point,
+    half_rows,
+    one_machine_half_matrix,
+    strategy_behavior,
 )
 
 
@@ -102,37 +101,7 @@ def exact_affine_rank(points) -> int:
 
 def local_half_matrix(n: int) -> np.ndarray:
     """Half-unit coordinates of all 4^n deterministic behaviors, lex order."""
-    bits = _code_vectors(n, 2)  # 0 = output 0, 1 = output 1
-    marg = (2 * (1 - bits)).astype(np.int64)  # P(out=0) in half-units
-    count = marg.shape[0]
-    d = n * (n + 2)
-    out = np.empty((count * count, d), dtype=np.int64)
-    a = np.repeat(marg, count, axis=0)
-    b = np.tile(marg, (count, 1))
-    out[:, :n] = a
-    out[:, n : 2 * n] = b
-    for i in range(n):
-        for j in range(n):
-            out[:, 2 * n + i * n + j] = a[:, i] * b[:, j] // 2
-    return out
-
-
-def one_machine_half_matrix(n: int, machine: MachineSpec) -> np.ndarray:
-    """Half-unit behaviors of every one-machine strategy pair, Alice-major order."""
-    a = alphabet_size(machine)
-    marg = _marginal_halves(a)
-    joint = _joint_halves(machine)
-    avec = _code_vectors(n, a)
-    count = avec.shape[0]
-    d = n * (n + 2)
-    out = np.empty((count, count, d), dtype=np.int8)
-    am = marg[avec].astype(np.int8)
-    out[:, :, :n] = am[:, None, :]
-    out[:, :, n : 2 * n] = am[None, :, :]
-    for i in range(n):
-        for j in range(n):
-            out[:, :, 2 * n + i * n + j] = joint[avec[:, i][:, None], avec[None, :, j]]
-    return out.reshape(count * count, d)
+    return one_machine_half_matrix(n, None)
 
 
 def functional_matrix(functionals) -> tuple:
@@ -175,8 +144,18 @@ class FacetCertificate:
         )
 
 
-def _is_deterministic_halves(vec) -> bool:
-    return all(v in (0, 2) for v in vec)
+def _distinct_attaining_rows(state: DecoupledMax, limit: int):
+    """Distinct half-unit rows of the first `limit` maximizers, first occurrence first."""
+    seen = set()
+    for alice, bob in state.attaining(limit):
+        rows = half_rows(state.machine, alice, bob)
+        fresh = []
+        # one bytes key per row; np.unique(axis=0) sorts void rows and is ~30x slower
+        for i, key in enumerate(rows.view(np.dtype((np.void, rows.shape[1]))).ravel().tolist()):
+            if key not in seen:
+                seen.add(key)
+                fresh.append(i)
+        yield from rows[fresh].tolist()
 
 
 def verify_facet(
@@ -190,88 +169,48 @@ def verify_facet(
     """Certify tightness and affine rank of `f` over a strategy class.
 
     `strategy_class` is the string "local" or a `MachineSpec` for the
-    one-machine class.  The maximum is exact; saturating behaviors are
-    deduplicated and their affine rank computed by integer elimination.
-    For large one-machine classes the stream stops once the rank target
-    N(N+2)-1 is reached unless `exhaust` forces full collection.
+    one-machine class; the local witness is a `BehaviorPoint`, a box one a
+    `WiringStrategy`.  The maximum is exact.  Only when it is 0 are the first
+    `max_strategies` maximizers streamed from the option table, deduplicated,
+    and the affine rank of their behaviors computed by integer elimination.
+    For large classes the stream stops once the rank target N(N+2)-1 is
+    reached unless `exhaust` forces full collection.
     """
-    n = f.scenario.n_settings
-    d = f.scenario.dimension
-    if strategy_class == "local":
-        matrix = local_half_matrix(n)
-        vals2 = doubled_values(matrix, [f])[:, 0]
-        best = int(vals2.max())
-        widx = int(np.argmax(vals2))
-        witness = from_half_units(f.scenario, [int(v) for v in matrix[widx]])
-        sat_rows = [tuple(int(v) for v in row) for row in matrix[vals2 == 0]]
-        basis = IntRowBasis()
-        if sat_rows:
-            base = sat_rows[0]
-            for row in sat_rows[1:]:
-                basis.add([x - y for x, y in zip(row, base)])
-        points = tuple(
-            from_half_units(f.scenario, row) for row in sat_rows[:points_cap]
-        )
-        return FacetCertificate(
-            functional=f,
-            strategy_class="local",
-            machine=None,
-            max_value=Fraction(best, 2),
-            witness=witness,
-            affine_rank=basis.rank,
-            n_saturating=len(sat_rows),
-            n_deterministic=sum(_is_deterministic_halves(r) for r in sat_rows),
-            saturating_points=points,
-            truncated=False,
-        )
-
-    machine = strategy_class
-    if not isinstance(machine, MachineSpec):
+    machine = None if strategy_class == "local" else strategy_class
+    if machine is not None and not isinstance(machine, MachineSpec):
         raise ValueError("strategy class must be 'local' or a MachineSpec")
-    state = _DecoupledMax(f, machine)
+    if max_strategies < 1:
+        raise ValueError(f"max_strategies must be at least 1, got {max_strategies}")
+    state = DecoupledMax(f, machine)
     if exhaust is None:
-        exhaust = state.a**n <= 4096
-    max_value = state.value
-    witness = state.witness()
-    seen = set()
+        exhaust = state.a**state.n <= 4096
+    stop_rank = None if exhaust else f.scenario.dimension - 1
+    n_saturating = n_det = 0
     kept = []
-    n_det = 0
     basis = IntRowBasis()
-    base = None
-    truncated = False
     if state.max2 == 0:
-        processed = 0
-        for strat in state.iter_attaining():
-            processed += 1
-            if processed > max_strategies:
-                truncated = True
-                break
-            vec = behavior_half_vector(strat)
-            if vec in seen:
-                continue
-            seen.add(vec)
-            if base is None:
+        for n_saturating, vec in enumerate(_distinct_attaining_rows(state, max_strategies), 1):
+            if n_saturating == 1:
                 base = vec
             else:
                 basis.add([x - y for x, y in zip(vec, base)])
-            if _is_deterministic_halves(vec):
-                n_det += 1
+            n_det += all(v in (0, 2) for v in vec)
             if len(kept) < points_cap:
                 kept.append(vec)
-            if not exhaust and basis.rank == d - 1:
-                truncated = True
+            if basis.rank == stop_rank:
                 break
+    witness = state.witness()
     return FacetCertificate(
         functional=f,
-        strategy_class="one_machine",
+        strategy_class="local" if machine is None else "one_machine",
         machine=machine,
-        max_value=max_value,
-        witness=witness,
+        max_value=state.value,
+        witness=strategy_behavior(witness) if machine is None else witness,
         affine_rank=basis.rank,
-        n_saturating=len(seen),
+        n_saturating=n_saturating,
         n_deterministic=n_det,
         saturating_points=tuple(from_half_units(f.scenario, v) for v in kept),
-        truncated=truncated,
+        truncated=basis.rank == stop_rank or (state.max2 == 0 and state.n_attaining > max_strategies),
     )
 
 

@@ -219,9 +219,11 @@ def seesaw_maximize(
     """Best see-saw value over random restarts; a lower bound on the state's max."""
     if plane not in ("full", "xz"):
         raise ValueError("plane must be 'full' or 'xz'")
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
     rng = np.random.default_rng(seed)
     best = None
-    for _ in range(max(1, restarts)):
+    for _ in range(restarts):
         value, meas, converged, iters = _seesaw_once(
             f, state, rng, tol, max_iterations, plane
         )
@@ -268,6 +270,8 @@ def theta_sweep(
     """Run the see-saw per Schmidt angle on a uniform grid over [0, pi/4]."""
     if grid < 2:
         raise ValueError("grid needs at least two points")
+    if restarts < 1 or threads < 1:
+        raise ValueError(f"restarts and threads must be at least 1, got {restarts} and {threads}")
     thetas = [k * (math.pi / 4) / (grid - 1) for k in range(grid)]
     jobs = [
         (f, theta, restarts, seed + k, tol, max_iterations, plane)

@@ -6,16 +6,20 @@ box inputs; serialized option names are "0d", "1d", "km", "kmf".
 Options are encoded as integers in the canonical tie-breaking order
 0d < 1d < 0m < 0mf < 1m < 1mf < ..., which also fixes enumeration order.
 
-The exact maximizer exploits that a behavior entry at settings (i, j)
-depends only on the two per-setting choices, so for a fixed Alice choice
-vector each of Bob's settings can be optimized independently.  This turns
-the (2+2K)^(2N) product search into (2+2K)^N * N * (2+2K) evaluations,
-all in integer half-units.  Shared randomness never helps a linear
+A behavior entry at settings (i, j) depends only on the two per-setting
+choices, so one cached option table per machine (`option_table`, in integer
+half-units, with `machine=None` as the local class) holds every entry; single
+behaviors, strategy-pair matrices and the exact maximizer all gather from it.
+The maximizer exploits the same locality: for a fixed Alice choice vector
+each of Bob's settings can be optimized independently.  This turns the
+(2+2K)^(2N) product search into (2+2K)^N * N * (2+2K) evaluations, all in
+integer half-units.  Shared randomness never helps a linear
 objective, so searching pure wirings is exhaustive for the strategy class.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -116,57 +120,75 @@ def strategy_from_json_dict(doc: dict) -> WiringStrategy:
 
 
 # ---------------------------------------------------------------------------
-# Behavior entry rules, tabulated in integer half-units (probability * 2)
+# The option table: every behavior entry, in integer half-units (probability * 2)
+
+STREAM_BATCH = 8192
 
 
-def _marginal_halves(n_options: int) -> np.ndarray:
-    out = np.ones(n_options, dtype=np.int64)
-    out[OPT_DET0] = 2
-    out[OPT_DET1] = 0
+@functools.lru_cache(maxsize=32)
+def option_table(machine: MachineSpec | None) -> tuple:
+    """Half-unit behavior entries per option: `(marginal (a,), joint (a, a))`.
+
+    `marginal[c]` is 2 P(out=0) under option `c` and `joint[ca, cb]` is
+    2 P(00) when Alice plays `ca` and Bob `cb`; `machine=None` is the local
+    class {0d, 1d}.  A deterministic party is independent of the other, so
+    its joint entry is the product of the marginals; two box ends give 1/2
+    exactly when the net flip parity matches the box's correlation on the
+    chosen input pair.  Both arrays are int8 and read-only.
+    """
+    a = alphabet_size(machine)
+    marginal = np.ones(a, dtype=np.int8)
+    marginal[[OPT_DET0, OPT_DET1]] = (2, 0)
+    joint = marginal[:, None] * marginal[None, :] // 2
+    if machine is not None:
+        k = machine.n_inputs
+        anti = np.array([[machine.anticorrelates(x, y) for y in range(k)] for x in range(k)])
+        inputs, flips = np.divmod(np.arange(2 * k), 2)
+        parity = flips[:, None] ^ flips[None, :]
+        joint[2:, 2:] = parity == anti[inputs[:, None], inputs[None, :]]
+    marginal.setflags(write=False)
+    joint.setflags(write=False)
+    return marginal, joint
+
+
+def half_rows(machine: MachineSpec | None, alice, bob) -> np.ndarray:
+    """Half-unit behaviors (alice, bob, joint) gathered from the option table.
+
+    `alice` and `bob` are choice vectors of shape (..., n) that broadcast
+    against each other; the result has shape (..., n(n+2)) and dtype int8.
+    """
+    marginal, joint = option_table(machine)
+    alice, bob = np.asarray(alice), np.asarray(bob)
+    n = alice.shape[-1]
+    shape = np.broadcast_shapes(alice.shape[:-1], bob.shape[:-1])
+    out = np.empty(shape + (n * (n + 2),), dtype=np.int8)
+    out[..., :n] = marginal[alice]
+    out[..., n : 2 * n] = marginal[bob]
+    for i in range(n):
+        out[..., (i + 2) * n : (i + 3) * n] = joint[alice[..., i, None], bob]
     return out
 
 
-def _joint_halves(machine: MachineSpec | None) -> np.ndarray:
-    a = alphabet_size(machine)
-    table = np.zeros((a, a), dtype=np.int64)
-    for ca in range(a):
-        for cb in range(a):
-            if ca < 2 and cb < 2:
-                table[ca, cb] = 2 if (ca == OPT_DET0 and cb == OPT_DET0) else 0
-            elif ca < 2:
-                table[ca, cb] = 1 if ca == OPT_DET0 else 0
-            elif cb < 2:
-                table[ca, cb] = 1 if cb == OPT_DET0 else 0
-            else:
-                ka, fa = divmod(ca - 2, 2)
-                kb, fb = divmod(cb - 2, 2)
-                anti = machine.anticorrelates(ka, kb)
-                table[ca, cb] = 1 if (fa ^ fb) == (1 if anti else 0) else 0
-    return table
+def _code_vectors(n: int, a: int) -> np.ndarray:
+    """All a^n choice vectors as rows, in lexicographic (big-endian) order."""
+    count = a**n
+    codes = np.arange(count, dtype=np.int64)
+    out = np.empty((count, n), dtype=np.int64)
+    for i in range(n - 1, -1, -1):
+        out[:, i] = codes % a
+        codes //= a
+    return out
 
 
-def behavior_half_vector(s: WiringStrategy) -> tuple:
-    """Flat half-unit coordinates of the induced behavior (alice, bob, joint)."""
-    marg = _marginal_halves(alphabet_size(s.machine))
-    joint = _joint_halves(s.machine)
-    n = s.n_settings
-    out = [int(marg[c]) for c in s.alice]
-    out += [int(marg[c]) for c in s.bob]
-    for ca in s.alice:
-        for cb in s.bob:
-            out.append(int(joint[ca, cb]))
-    return tuple(out)
+def one_machine_half_matrix(n: int, machine: MachineSpec | None) -> np.ndarray:
+    """Half-unit behaviors (int8) of every strategy pair, Alice-major; `None` gives the local ones."""
+    avec = _code_vectors(n, alphabet_size(machine))
+    return half_rows(machine, avec[:, None, :], avec[None, :, :]).reshape(-1, n * (n + 2))
 
 
 def strategy_behavior(s: WiringStrategy) -> BehaviorPoint:
-    """Exact behavior induced by a wiring strategy.
-
-    Deterministic options pin marginals to 0/1; any machine option gives a
-    uniform marginal.  A joint entry is 1/2 exactly when the two (possibly
-    flipped) box outputs can agree on 0, i.e. when the net flip parity
-    matches the box's correlation on the chosen input pair.
-    """
-    return from_half_units(Scenario(s.n_settings), behavior_half_vector(s))
+    """Exact behavior induced by a wiring strategy, read off the option table."""
+    return from_half_units(Scenario(s.n_settings), half_rows(s.machine, s.alice, s.bob).tolist())
 
 
 def deterministic_point(scenario: Scenario, alice_outputs: Sequence[int], bob_outputs: Sequence[int]) -> BehaviorPoint:
@@ -213,71 +235,84 @@ def enumerate_one_machine(scenario: Scenario, machine: MachineSpec, cap: int | N
 # Exact decoupled maximization
 
 
-def _code_vectors(n: int, a: int) -> np.ndarray:
-    """All a^n choice vectors as rows, in lexicographic (big-endian) order."""
-    count = a**n
-    codes = np.arange(count, dtype=np.int64)
-    out = np.empty((count, n), dtype=np.int64)
-    for i in range(n - 1, -1, -1):
-        out[:, i] = codes % a
-        codes //= a
-    return out
+class DecoupledMax:
+    """Numpy workspace for the Alice-outer / Bob-per-setting-inner maximization.
 
+    `machine=None` searches the local deterministic class.  All entries are
+    gathered from `option_table(machine)`; values are doubled integers.
+    """
 
-class _DecoupledMax:
-    """Numpy workspace for the Alice-outer / Bob-per-setting-inner maximization."""
-
-    def __init__(self, f: BellFunctional, machine: MachineSpec, vector_cap: int = 2_000_000):
+    def __init__(self, f: BellFunctional, machine: MachineSpec | None, vector_cap: int = 2_000_000):
         n = f.scenario.n_settings
         a = alphabet_size(machine)
         if a**n > vector_cap:
             raise CapExceededError(
                 f"{a}^{n} Alice choice vectors exceed the optimizer cap {vector_cap}"
             )
-        self.f = f
         self.machine = machine
         self.n = n
         self.a = a
-        marg = _marginal_halves(a)
-        joint = _joint_halves(machine)
+        marginal, joint = option_table(machine)
         avec = _code_vectors(n, a)
         acoef = np.asarray(f.alice, dtype=np.int64)
         bcoef = np.asarray(f.bob, dtype=np.int64)
         ccoef = np.asarray(f.joint, dtype=np.int64)
-        alice_part = marg[avec] @ acoef + 2 * f.constant
-        gathered = joint[avec]  # (S, n, a): half-units for each Bob option
-        term = np.einsum("sia,ij->sja", gathered, ccoef)
-        term += (bcoef[:, None] * marg[None, :])[None, :, :]
-        best = term.max(axis=2)
+        self.alice_part = marginal[avec] @ acoef + 2 * f.constant
+        # term[s, j, c]: doubled value of Bob's setting j playing option c
+        term = np.einsum("sia,ij->sja", joint[avec], ccoef)
+        term += (bcoef[:, None] * marginal[None, :])[None, :, :]
         self.avec = avec
         self.term = term
-        self.best = best
-        self.total = alice_part + best.sum(axis=1)
+        self.best = term.max(axis=2)
+        self.total = self.alice_part + self.best.sum(axis=1)
         self.max2 = int(self.total.max())
 
     @property
     def value(self) -> Fraction:
         return Fraction(self.max2, 2)
 
-    def witness(self) -> WiringStrategy:
-        s = int(np.argmax(self.total))
-        alice = tuple(int(c) for c in self.avec[s])
-        bob = tuple(int(np.argmax(self.term[s, j])) for j in range(self.n))
-        return WiringStrategy(self.machine, alice, bob)
-
-    def iter_attaining(self) -> Iterator[WiringStrategy]:
-        """All strategies attaining the maximum.
+    @functools.cached_property
+    def _attaining(self) -> tuple:
+        """Per attaining Alice vector: Bob's optimal options per setting and stream offsets.
 
         Complete only for the maximum itself: a maximizer must be optimal in
         every Bob column, so the per-column argmax product covers them all.
         """
-        for s in np.flatnonzero(self.total == self.max2):
-            alice = tuple(int(c) for c in self.avec[s])
-            options = [
-                np.flatnonzero(self.term[s, j] == self.best[s, j]) for j in range(self.n)
-            ]
-            for bob in itertools.product(*options):
-                yield WiringStrategy(self.machine, alice, tuple(int(c) for c in bob))
+        sel = np.flatnonzero(self.total == self.max2)
+        optimal = self.term[sel] == self.best[sel][:, :, None]
+        sizes = optimal.sum(axis=2)
+        # optimal options first, each column's in increasing code order
+        options = np.argsort(~optimal, axis=2, kind="stable").astype(np.int8)
+        counts = sizes.prod(axis=1)
+        ends = np.cumsum(counts)
+        return sel, sizes, options, ends - counts, ends
+
+    @property
+    def n_attaining(self) -> int:
+        """Number of strategies attaining the maximum."""
+        return int(self._attaining[4][-1])
+
+    def attaining(self, limit: int) -> Iterator[tuple]:
+        """The first `limit` maximizers in lexicographic order, as (alice, bob) code batches.
+
+        Each batch holds up to `STREAM_BATCH` strategies as two (batch, n) arrays.
+        """
+        sel, sizes, options, starts, ends = self._attaining
+        stop = min(limit, int(ends[-1]))
+        for lo in range(0, stop, STREAM_BATCH):
+            g = np.arange(lo, min(lo + STREAM_BATCH, stop))
+            k = np.searchsorted(ends, g, side="right")
+            rest = g - starts[k]
+            bob = np.empty((g.size, self.n), dtype=np.int64)
+            for j in range(self.n - 1, -1, -1):
+                rest, pos = np.divmod(rest, sizes[k, j])
+                bob[:, j] = options[k, j, pos]
+            yield self.avec[sel[k]], bob
+
+    def witness(self) -> WiringStrategy:
+        """The lexicographically first strategy attaining the maximum."""
+        alice, bob = next(self.attaining(1))
+        return WiringStrategy(self.machine, tuple(alice[0].tolist()), tuple(bob[0].tolist()))
 
 
 @dataclass(frozen=True)
@@ -299,15 +334,15 @@ def max_over_one_machine(
     strategy attaining the maximum up to `collect_cap` (the `truncated`
     flag says whether the cap was hit).
     """
-    state = _DecoupledMax(f, machine)
-    saturating = []
-    truncated = False
-    for s in state.iter_attaining():
-        if len(saturating) >= collect_cap:
-            truncated = True
-            break
-        saturating.append(s)
-    return OneMachineMaximum(state.value, state.witness(), tuple(saturating), truncated)
+    state = DecoupledMax(f, machine)
+    saturating = tuple(
+        WiringStrategy(machine, tuple(a), tuple(b))
+        for alice, bob in state.attaining(collect_cap)
+        for a, b in zip(alice.tolist(), bob.tolist())
+    )
+    return OneMachineMaximum(
+        state.value, state.witness(), saturating, state.n_attaining > collect_cap
+    )
 
 
 def _pareto_prune(pairs):
@@ -330,14 +365,9 @@ def max_min_over_one_machine(f: BellFunctional, g: BellFunctional, machine: Mach
     """
     if f.scenario != g.scenario:
         raise ValueError("functionals live in different scenarios")
-    sf = _DecoupledMax(f, machine)
-    sg = _DecoupledMax(g, machine)
+    sf = DecoupledMax(f, machine)
+    sg = DecoupledMax(g, machine)
     n, a = sf.n, sf.a
-    marg = _marginal_halves(a)
-    af = np.asarray(f.alice, dtype=np.int64)
-    ag = np.asarray(g.alice, dtype=np.int64)
-    part_f = marg[sf.avec] @ af + 2 * f.constant
-    part_g = marg[sf.avec] @ ag + 2 * g.constant
     best2 = None
     for s in range(sf.avec.shape[0]):
         frontier = [(0, 0)]
@@ -347,7 +377,7 @@ def max_min_over_one_machine(f: BellFunctional, g: BellFunctional, machine: Mach
             frontier = _pareto_prune(
                 [(u + int(tf[c]), v + int(tg[c])) for u, v in frontier for c in range(a)]
             )
-        base_f, base_g = int(part_f[s]), int(part_g[s])
+        base_f, base_g = int(sf.alice_part[s]), int(sg.alice_part[s])
         cand = max(min(base_f + u, base_g + v) for u, v in frontier)
         if best2 is None or cand > best2:
             best2 = cand

@@ -1,9 +1,12 @@
+import hashlib
 import json
 import math
 
+import pytest
+
 from bellbox import cli
 from bellbox.behavior import to_json_dict
-from bellbox.functionals import make_inn22
+from bellbox.functionals import functional_to_json_dict, make_chsh, make_inn22
 from bellbox.machines import machine_behavior, machine_to_json_dict, pr_box, pr_machine
 
 
@@ -153,3 +156,63 @@ def test_usage_errors_exit_one(capsys):
 def test_missing_file_exits_one(capsys):
     code, _, err = run(capsys, "eval", "--functional", "/nope.json", "--behavior", "/nope.json")
     assert code == 1
+
+
+def assert_one_line_error(code, err):
+    assert code == 1
+    assert err.startswith("bellbox: error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("target, key, bad", [
+    ("functional", "alice", [-1.7, 0]),  # int() would evaluate it as -1
+    ("functional", "alice", 5),
+    ("behavior", "alice", [0.1, "1/2"]),  # a float in an exact behavior
+])
+def test_eval_rejects_bad_json_with_one_error_line(tmp_path, capsys, target, key, bad):
+    docs = {
+        "functional": functional_to_json_dict(make_chsh(2)),
+        "behavior": to_json_dict(machine_behavior(pr_box())),
+    }
+    docs[target][key] = bad
+    for name, doc in docs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    code, out, err = run(
+        capsys, "eval",
+        "--functional", str(tmp_path / "functional.json"),
+        "--behavior", str(tmp_path / "behavior.json"),
+    )
+    assert_one_line_error(code, err)
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["quantum", "sweep", "--ineq", "CHSH", "--grid", "2", "--threads", "0", "--restarts", "0"],
+    ["verify-facet", "--ineq", "M5522", "--class", "box:pr:4", "--max-strategies", "0"],
+])
+def test_counts_below_one_exit_one(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert_one_line_error(code, err)
+    assert out == ""
+
+
+# sha256 of the full stdout of each verify-facet run, recorded before the
+# strategy-table layer was unified
+VERIFY_FACET_STDOUT = [
+    (["--ineq", "M4422", "--class", "box:pr:3"], 0,
+     "e469d90c5871ed693717f1a1d1768cf1cda83d1a8f73a79941451d095271f622"),
+    (["--ineq", "M3322", "--class", "local"], 2,
+     "be7036816c843af306ac527c0fbdda04e1e330d336005aee42e3adb2d914095f"),
+    (["--ineq", "I3322", "--class", "box:pr:3"], 2,
+     "d8cfafaed42ca7eefb0208531174cb0123354a7b80dd7a72e76e9dfdc8fd7b13"),
+    (["--ineq", "M5522", "--class", "box:pr:4"], 0,
+     "f2c3403a954506e0434faff4382a2b84c093b232d61f47e5c29136e84a1774ff"),
+    (["--ineq", "M5522", "--class", "box:pr:4", "--max-strategies", "1000"], 2,
+     "cb9177385e2bd76da791a3c6ce598d2a816acb43b56e2fab6ad85f04053cf30a"),
+]
+
+
+@pytest.mark.parametrize("argv, exit_code, digest", VERIFY_FACET_STDOUT)
+def test_verify_facet_stdout_is_pinned(capsys, argv, exit_code, digest):
+    code, out, _ = run(capsys, "verify-facet", *argv)
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

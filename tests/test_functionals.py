@@ -109,6 +109,21 @@ def test_functional_json_roundtrip():
     assert functional_from_json_dict(doc) == f
 
 
+def test_non_integral_coefficients_are_rejected_not_truncated():
+    from bellbox.functionals import functional_from_json_dict, functional_to_json_dict
+
+    chsh = make_chsh(2)
+    with pytest.raises(ValueError):
+        BellFunctional(chsh.scenario, (-1.7, 0), chsh.bob, chsh.joint)
+    with pytest.raises(ValueError):
+        BellFunctional(chsh.scenario, chsh.alice, chsh.bob, chsh.joint, Fraction(1, 2))
+    assert BellFunctional(chsh.scenario, (-1.0, 0), chsh.bob, chsh.joint) == chsh
+    doc = functional_to_json_dict(chsh)
+    for key, bad in (("n", 2.5), ("constant", 0.5), ("joint", [1, 2]), ("alice", 5)):
+        with pytest.raises(ValueError):
+            functional_from_json_dict({**doc, key: bad})
+
+
 # ---------------------------------------------------------------------------
 # Evaluation
 

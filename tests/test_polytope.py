@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bellbox.behavior import BehaviorPoint, Scenario, convex_combine, to_half_units, validate
-from bellbox.functionals import make_c1, make_c2, make_chsh, make_inn22, make_mnn22
+from bellbox.functionals import BellFunctional, make_c1, make_c2, make_chsh, make_inn22, make_mnn22
 from bellbox.machines import machine_behavior, pr_box, pr_machine
 from bellbox.polytope import (
     IntRowBasis,
@@ -124,6 +124,33 @@ def test_rejected_certificate_carries_a_violating_witness():
 def test_strategy_class_argument_is_checked():
     with pytest.raises(ValueError):
         verify_facet(make_chsh(2), "nonsense")
+    with pytest.raises(ValueError):
+        verify_facet(make_mnn22(3), pr_box(), max_strategies=0)
+
+
+def certificate_fields(cert):
+    return (cert.n_saturating, cert.n_deterministic, cert.affine_rank, cert.truncated)
+
+
+def test_machine_resistant_certificates_keep_their_stop_points():
+    # the n = 5 stream stops at the rank target, so these counts pin where
+    assert certificate_fields(verify_facet(make_mnn22(3), pr_box())) == (65, 8, 14, False)
+    assert certificate_fields(verify_facet(make_mnn22(4), pr_machine(3))) == (279, 16, 23, False)
+    assert certificate_fields(verify_facet(make_mnn22(5), pr_machine(4))) == (1344, 32, 34, True)
+    capped = verify_facet(make_mnn22(5), pr_machine(4), max_strategies=1000)
+    assert certificate_fields(capped) == (40, 8, 6, True)
+    # the cap counts strategies, not behaviors: the first two differ
+    assert certificate_fields(verify_facet(make_mnn22(3), pr_box(), max_strategies=2)) == (2, 2, 1, True)
+
+
+def test_locally_violated_functional_has_no_saturating_set():
+    chsh = make_chsh(2)
+    shifted = BellFunctional(chsh.scenario, chsh.alice, chsh.bob, chsh.joint, 1)
+    cert = verify_facet(shifted, "local")
+    assert cert.max_value == 1
+    assert (cert.n_saturating, cert.affine_rank, cert.saturating_points) == (0, 0, ())
+    assert shifted.evaluate(cert.witness) == 1
+    assert not cert.accepted
 
 
 # ---------------------------------------------------------------------------

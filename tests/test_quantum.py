@@ -148,3 +148,19 @@ def test_sweep_on_chsh_peaks_at_maximal_entanglement():
 def test_sweep_grid_validation():
     with pytest.raises(ValueError):
         theta_sweep(make_chsh(2), grid=1)
+
+
+def test_counts_are_checked_before_any_worker_starts(monkeypatch):
+    import bellbox.quantum as quantum
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was created")
+
+    monkeypatch.setattr(quantum, "ProcessPoolExecutor", no_pool)
+    state = TwoQubitState.schmidt(math.pi / 4)
+    with pytest.raises(ValueError):
+        seesaw_maximize(make_chsh(2), state, restarts=0)
+    with pytest.raises(ValueError):
+        theta_sweep(make_chsh(2), grid=2, restarts=1, threads=0)
+    with pytest.raises(ValueError):
+        theta_sweep(make_chsh(2), grid=2, restarts=0, threads=2)

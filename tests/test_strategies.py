@@ -30,6 +30,7 @@ from bellbox.strategies import (
     opt_machine,
     option_code,
     option_name,
+    option_table,
     strategy_behavior,
     strategy_from_json_dict,
     strategy_to_json_dict,
@@ -98,6 +99,35 @@ def test_option_names_and_codes():
     assert alphabet_size(pr_machine(3)) == 8
     assert alphabet_size(pr_box()) == 6
     assert alphabet_size(None) == 2
+
+
+def reference_entries(machine, ca, cb):
+    """Per-entry half-unit rule, (marginal of ca, joint of (ca, cb)), written out case by case."""
+    def marginal(c):
+        return {OPT_DET0: 2, OPT_DET1: 0}.get(c, 1)
+
+    if ca < 2 and cb < 2:
+        joint = 2 if ca == cb == OPT_DET0 else 0
+    elif ca < 2 or cb < 2:
+        det = ca if ca < 2 else cb
+        joint = 1 if det == OPT_DET0 else 0
+    else:
+        ka, fa = divmod(ca - 2, 2)
+        kb, fb = divmod(cb - 2, 2)
+        joint = 1 if (fa ^ fb) == int(machine.anticorrelates(ka, kb)) else 0
+    return marginal(ca), joint
+
+
+def test_option_table_matches_the_per_entry_rule():
+    for machine in (None, pr_box(), pr_machine(3), pr_machine(4)):
+        marginal, joint = option_table(machine)
+        size = alphabet_size(machine)
+        assert marginal.shape == (size,) and joint.shape == (size, size)
+        for ca in range(size):
+            for cb in range(size):
+                assert (marginal[ca], joint[ca, cb]) == reference_entries(machine, ca, cb)
+        assert not marginal.flags.writeable and not joint.flags.writeable
+        assert option_table(machine) is option_table(machine)
 
 
 def test_identity_wiring_reproduces_the_machine_point():
