@@ -220,6 +220,32 @@ def to_json_dict(point: BehaviorPoint) -> dict:
     }
 
 
+def as_integer(value, what: str = "coefficient") -> int:
+    """An integral value as an int; anything else raises, nothing is truncated."""
+    if type(value) is int:
+        return value
+    try:
+        if not isinstance(value, bool) and int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{what} {value!r} is not an integer")
+
+
+def json_tables(doc, kind: str) -> tuple:
+    """`(n, alice, bob, joint)` of a behavior or functional document, shapes checked.
+
+    A document that is not an object, an "n" that is not an integer, or
+    tables that are not lists ("joint" a list of rows) raise ValueError.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"a {kind} document is a JSON object")
+    tables = (doc["alice"], doc["bob"], doc["joint"])
+    if not all(isinstance(t, list) for t in tables) or not all(isinstance(r, list) for r in doc["joint"]):
+        raise ValueError('"alice", "bob" and "joint" must be lists, and "joint" a list of rows')
+    return (as_integer(doc["n"], "n"), *tables)
+
+
 def _decode_exact(v) -> Fraction:
     """An exact JSON scalar: an integer or a "p/q" string, never a float."""
     if type(v) is int or isinstance(v, str) and re.fullmatch(r"-?\d+(/0*[1-9]\d*)?", v):
@@ -227,18 +253,26 @@ def _decode_exact(v) -> Fraction:
     raise ValueError(f"exact behavior entries are integers or \"p/q\" strings, got {v!r}")
 
 
+def _decode_float(v) -> float:
+    try:
+        return float(v)
+    except TypeError:
+        raise ValueError(f"float behavior entries are numbers, got {v!r}") from None
+
+
 def from_json_dict(doc: dict) -> BehaviorPoint:
+    """Parse a behavior document; a malformed one raises ValueError."""
+    n, alice, bob, joint = json_tables(doc, "behavior")
     backend = doc.get("backend", "exact")
     if backend == "exact":
         dec = _decode_exact
     elif backend == "float":
-        dec = lambda v: float(v)
+        dec = _decode_float
     else:
         raise ValueError(f"unknown backend {backend!r}")
-    scenario = Scenario(int(doc["n"]))
     return BehaviorPoint(
-        scenario,
-        tuple(dec(v) for v in doc["alice"]),
-        tuple(dec(v) for v in doc["bob"]),
-        tuple(tuple(dec(v) for v in row) for row in doc["joint"]),
+        Scenario(n),
+        tuple(dec(v) for v in alice),
+        tuple(dec(v) for v in bob),
+        tuple(tuple(dec(v) for v in row) for row in joint),
     )

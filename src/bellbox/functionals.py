@@ -21,19 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .behavior import BehaviorPoint, Scenario
-
-
-def _integer(value, what: str = "coefficient") -> int:
-    """An integral value as an int; anything else raises, nothing is truncated."""
-    if type(value) is int:
-        return value
-    try:
-        if not isinstance(value, bool) and int(value) == value:
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ValueError(f"{what} {value!r} is not an integer")
+from .behavior import BehaviorPoint, Scenario, as_integer, json_tables
 
 
 @dataclass(frozen=True)
@@ -48,15 +36,15 @@ class BellFunctional:
 
     def __post_init__(self):
         n = self.scenario.n_settings
-        alice = tuple(_integer(v) for v in self.alice)
-        bob = tuple(_integer(v) for v in self.bob)
-        joint = tuple(tuple(_integer(v) for v in row) for row in self.joint)
+        alice = tuple(as_integer(v) for v in self.alice)
+        bob = tuple(as_integer(v) for v in self.bob)
+        joint = tuple(tuple(as_integer(v) for v in row) for row in self.joint)
         if len(alice) != n or len(bob) != n or len(joint) != n or any(len(r) != n for r in joint):
             raise ValueError("coefficient tables must match the scenario size")
         object.__setattr__(self, "alice", alice)
         object.__setattr__(self, "bob", bob)
         object.__setattr__(self, "joint", joint)
-        object.__setattr__(self, "constant", _integer(self.constant, "constant"))
+        object.__setattr__(self, "constant", as_integer(self.constant, "constant"))
 
     def evaluate(self, point: BehaviorPoint):
         """Inner product with a behavior plus the constant term.
@@ -104,16 +92,12 @@ def functional_to_json_dict(f: BellFunctional) -> dict:
 
 def functional_from_json_dict(doc: dict) -> BellFunctional:
     """Parse a functional document; a malformed one raises ValueError."""
-    if not isinstance(doc, dict):
-        raise ValueError("a functional document is a JSON object")
-    tables = (doc["alice"], doc["bob"], doc["joint"])
-    if not all(isinstance(t, list) for t in tables) or not all(isinstance(r, list) for r in doc["joint"]):
-        raise ValueError('"alice", "bob" and "joint" must be lists, and "joint" a list of rows')
+    n, alice, bob, joint = json_tables(doc, "functional")
     return BellFunctional(
-        Scenario(_integer(doc["n"], "n")),
-        tuple(doc["alice"]),
-        tuple(doc["bob"]),
-        tuple(tuple(r) for r in doc["joint"]),
+        Scenario(n),
+        tuple(alice),
+        tuple(bob),
+        tuple(tuple(r) for r in joint),
         doc.get("constant", 0),
     )
 

@@ -6,18 +6,24 @@ general for this purpose since local unitaries are absorbed into the
 measurement optimization).  Measurements are projective, given by unit
 Bloch vectors for the outcome-0 projector (1 + n.sigma)/2.
 
-The see-saw alternates parties: with Bob fixed, the terms containing
-Alice's setting i collapse to Tr[Pi E_i] for a 2x2 Hermitian effective
-operator E_i, so the per-step optimum is the top-eigenvector projector;
-the objective therefore never decreases.  Results are certified lower
+A state enters only through its Bloch form: m_A = <sigma_k x 1>,
+m_B = <1 x sigma_l> and T = <sigma_k x sigma_l>.  Then
+P(A=0) = (1 + a.m_A)/2 and P(00) = (1 + a.m_A + b.m_B + a.T b)/4.
+
+The see-saw alternates parties: with Bob fixed, the functional is affine
+in each of Alice's vectors a_i, so the per-step optimum is the normalised
+gradient dF/da_i, which is the Bloch vector of the top eigenprojector of
+the effective 2x2 operator; then the same for Bob.  The objective
+therefore never decreases.  One kernel runs a batch of restarts, and for a
+sweep of states too, as (rows, n, 3) arrays.  Results are certified lower
 bounds on a state's maximum; a failure to find a violation is heuristic
 evidence only and is reported as such.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,12 +33,11 @@ from .functionals import BellFunctional
 
 _NORM_TOL = 1e-12
 
-_SIGMA = (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
+# identity, then sigma_x, sigma_y, sigma_z
+_PAULI = np.array(
+    [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
+    dtype=complex,
 )
-_ID2 = np.eye(2, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -45,6 +50,8 @@ class TwoQubitState:
         vec = tuple(complex(v) for v in self.vector)
         if len(vec) != 4:
             raise ValueError("state vector must have four components")
+        if not all(cmath.isfinite(v) for v in vec):
+            raise ValueError(f"state vector components must be finite, got {vec}")
         norm = math.sqrt(sum(abs(v) ** 2 for v in vec))
         if abs(norm - 1.0) > _NORM_TOL:
             raise ValueError(f"state vector norm {norm} is not 1")
@@ -59,11 +66,20 @@ class TwoQubitState:
         """The 2x2 coefficient matrix Psi with psi = sum Psi[m,n] |m>|n>."""
         return np.asarray(self.vector, dtype=complex).reshape(2, 2)
 
+    def bloch_form(self) -> tuple:
+        """(m_A, m_B, T) with m_A[k] = <sigma_k x 1>, m_B[l] = <1 x sigma_l>, T[k, l] = <sigma_k x sigma_l>."""
+        psi = self.matrix()
+        # <s_k x s_l> = Tr(Psi^dagger s_k Psi s_l^T), with s_0 the identity
+        full = np.einsum("mn,kmp,pq,lnq->kl", psi.conj(), _PAULI, psi, _PAULI).real
+        return full[1:, 0], full[0, 1:], full[1:, 1:]
+
 
 def _check_bloch(vectors, n: int, label: str) -> np.ndarray:
     arr = np.asarray(vectors, dtype=float)
     if arr.shape != (n, 3):
         raise ValueError(f"{label} needs one 3-vector per setting")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{label} Bloch vectors must be finite")
     norms = np.linalg.norm(arr, axis=1)
     if np.any(np.abs(norms - 1.0) > _NORM_TOL):
         raise ValueError(f"{label} Bloch vectors must be unit length")
@@ -85,15 +101,6 @@ class MeasurementSet:
         object.__setattr__(self, "bob", tuple(map(tuple, b)))
 
 
-def _projector(bloch) -> np.ndarray:
-    n = np.asarray(bloch, dtype=float)
-    return 0.5 * (_ID2 + n[0] * _SIGMA[0] + n[1] * _SIGMA[1] + n[2] * _SIGMA[2])
-
-
-def _bloch_of_projector(proj: np.ndarray) -> tuple:
-    return tuple(float(np.trace(proj @ s).real) for s in _SIGMA)
-
-
 def quantum_behavior(state: TwoQubitState, alice_bloch, bob_bloch) -> BehaviorPoint:
     """Born-rule behavior of projective measurements on a two-qubit state."""
     n = len(alice_bloch)
@@ -101,20 +108,15 @@ def quantum_behavior(state: TwoQubitState, alice_bloch, bob_bloch) -> BehaviorPo
         raise ValueError("both parties need the same number of settings")
     a = _check_bloch(alice_bloch, n, "alice")
     b = _check_bloch(bob_bloch, n, "bob")
-    psi = state.matrix()
-    rho_a = psi @ psi.conj().T
-    rho_b = (psi.conj().T @ psi).T
-    proj_a = [_projector(v) for v in a]
-    proj_b = [_projector(v) for v in b]
-    marg_a = tuple(float(np.trace(p @ rho_a).real) for p in proj_a)
-    marg_b = tuple(float(np.trace(p @ rho_b).real) for p in proj_b)
-    joint = tuple(
-        tuple(
-            float(np.trace(pa @ psi @ pb.T @ psi.conj().T).real) for pb in proj_b
-        )
-        for pa in proj_a
+    m_a, m_b, t = state.bloch_form()
+    ea, eb = a @ m_a, b @ m_b
+    joint = (1 + ea[:, None] + eb[None, :] + a @ t @ b.T) / 4
+    return BehaviorPoint(
+        Scenario(n),
+        tuple(((1 + ea) / 2).tolist()),
+        tuple(((1 + eb) / 2).tolist()),
+        tuple(map(tuple, joint.tolist())),
     )
-    return BehaviorPoint(Scenario(n), marg_a, marg_b, joint)
 
 
 @dataclass(frozen=True)
@@ -135,76 +137,76 @@ def _random_bloch(rng, plane: str) -> np.ndarray:
             return v / norm
 
 
-def _seesaw_value(f, psi, rho_a, rho_b, proj_a, proj_b) -> float:
-    n = f.scenario.n_settings
-    total = float(f.constant)
-    for i in range(n):
-        if f.alice[i]:
-            total += f.alice[i] * float(np.trace(proj_a[i] @ rho_a).real)
-    for j in range(n):
-        if f.bob[j]:
-            total += f.bob[j] * float(np.trace(proj_b[j] @ rho_b).real)
-    for i in range(n):
-        row = f.joint[i]
-        left = psi.conj().T @ proj_a[i] @ psi
-        for j in range(n):
-            if row[j]:
-                total += row[j] * float(np.trace(left @ proj_b[j].T).real)
-    return total
+def _starts(n: int, seed: int, restarts: int, plane: str) -> np.ndarray:
+    """(restarts, 2n, 3) starting vectors: per restart Alice's n, then Bob's n."""
+    rng = np.random.default_rng(seed)
+    return np.array([[_random_bloch(rng, plane) for _ in range(2 * n)] for _ in range(restarts)])
 
 
-def _seesaw_once(
-    f: BellFunctional,
-    state: TwoQubitState,
-    rng,
-    tol: float,
-    max_iterations: int,
-    plane: str,
-    trace=None,
-):
+def _unit(grad: np.ndarray) -> np.ndarray:
+    """Normalise the last axis; a zero gradient gives (0, 0, -1), as eigh does for a multiple of 1."""
+    norm = np.linalg.norm(grad, axis=-1, keepdims=True)
+    zero = norm[..., 0] == 0
+    grad[zero], norm[zero] = (0.0, 0.0, -1.0), 1.0
+    return grad / norm
+
+
+def _seesaw_rows(f: BellFunctional, forms, starts, tol: float, max_iterations: int, trace=None):
+    """See-saw every row of a batch at once.
+
+    Row r has the state `forms` = (m_A, m_B, T) at [r], of shapes (rows, 3),
+    (rows, 3) and (rows, 3, 3), and starts from `starts[r]`, Alice's n
+    vectors then Bob's n.  A row stops on the first step that gains less
+    than `tol` and keeps the larger of its last two values.  Returns the
+    final values, converged flags, iteration counts and (rows, 2n, 3)
+    vectors.  `trace`, if given, receives the (rows,) values after the
+    start and after each step; a stopped row repeats its last value.
+    """
     n = f.scenario.n_settings
-    psi = state.matrix()
-    rho_a = psi @ psi.conj().T
-    rho_b = (psi.conj().T @ psi).T
-    proj_a = [_projector(_random_bloch(rng, plane)) for _ in range(n)]
-    proj_b = [_projector(_random_bloch(rng, plane)) for _ in range(n)]
-    value = _seesaw_value(f, psi, rho_a, rho_b, proj_a, proj_b)
+    joint = np.array(f.joint, dtype=float)
+    # F = base + (sum_i wa_i a_i.m_A + sum_j wb_j b_j.m_B + sum_ij J_ij a_i.T b_j) / 4
+    wa = 2 * np.array(f.alice, dtype=float) + joint.sum(axis=1)
+    wb = 2 * np.array(f.bob, dtype=float) + joint.sum(axis=0)
+    base = f.constant + (sum(f.alice) + sum(f.bob)) / 2 + joint.sum() / 4
+
+    def value(a, b, m_a, m_b, t):
+        corr = (a @ t @ b.transpose(0, 2, 1) * joint).sum(axis=(1, 2))
+        return base + ((a @ m_a[:, :, None])[..., 0] @ wa + (b @ m_b[:, :, None])[..., 0] @ wb + corr) / 4
+
+    m_a, m_b, t = forms
+    vectors = np.array(starts, dtype=float)
+    rows = len(vectors)
+    values = value(vectors[:, :n], vectors[:, n:], m_a, m_b, t)
+    converged = np.zeros(rows, dtype=bool)
+    iterations = np.zeros(rows, dtype=int)
+    live = np.arange(rows)
     if trace is not None:
-        trace.append(value)
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        for i in range(n):
-            x = f.alice[i] * _ID2
-            for j in range(n):
-                if f.joint[i][j]:
-                    x = x + f.joint[i][j] * proj_b[j]
-            eff = psi @ x.T @ psi.conj().T
-            _, vecs = np.linalg.eigh(eff)
-            top = vecs[:, -1]
-            proj_a[i] = np.outer(top, top.conj())
-        for j in range(n):
-            y = f.bob[j] * _ID2
-            for i in range(n):
-                if f.joint[i][j]:
-                    y = y + f.joint[i][j] * proj_a[i]
-            eff = (psi.conj().T @ y @ psi).T
-            _, vecs = np.linalg.eigh(eff)
-            top = vecs[:, -1]
-            proj_b[j] = np.outer(top, top.conj())
-        new_value = _seesaw_value(f, psi, rho_a, rho_b, proj_a, proj_b)
-        if trace is not None:
-            trace.append(new_value)
-        if new_value - value < tol:
-            value = max(value, new_value)
-            converged = True
+        trace.append(values.copy())
+    for step in range(1, max_iterations + 1):
+        if not live.size:
             break
-        value = new_value
-    measurements = MeasurementSet(
-        tuple(_bloch_of_projector(p) for p in proj_a),
-        tuple(_bloch_of_projector(p) for p in proj_b),
-    )
-    return value, measurements, converged, iterations
+        lm_a, lm_b, lt, b = m_a[live], m_b[live], t[live], vectors[live, n:]
+        a = _unit(wa[:, None] * lm_a[:, None] + (joint @ b) @ lt.transpose(0, 2, 1))
+        b = _unit(wb[:, None] * lm_b[:, None] + (joint.T @ a) @ lt)
+        new = value(a, b, lm_a, lm_b, lt)
+        vectors[live, :n], vectors[live, n:] = a, b
+        iterations[live] = step
+        if trace is not None:
+            shown = values.copy()
+            shown[live] = new
+            trace.append(shown)
+        done = new - values[live] < tol
+        values[live] = np.where(done, np.maximum(values[live], new), new)
+        converged[live[done]] = True
+        live = live[~done]
+    return values, converged, iterations, vectors
+
+
+def _check_args(plane: str, restarts: int) -> None:
+    if plane not in ("full", "xz"):
+        raise ValueError("plane must be 'full' or 'xz'")
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
 
 
 def seesaw_maximize(
@@ -216,20 +218,23 @@ def seesaw_maximize(
     max_iterations: int = 500,
     plane: str = "full",
 ) -> SeesawResult:
-    """Best see-saw value over random restarts; a lower bound on the state's max."""
-    if plane not in ("full", "xz"):
-        raise ValueError("plane must be 'full' or 'xz'")
-    if restarts < 1:
-        raise ValueError(f"restarts must be at least 1, got {restarts}")
-    rng = np.random.default_rng(seed)
-    best = None
-    for _ in range(restarts):
-        value, meas, converged, iters = _seesaw_once(
-            f, state, rng, tol, max_iterations, plane
-        )
-        if best is None or value > best.value:
-            best = SeesawResult(value, meas, converged, iters)
-    return best
+    """Best see-saw value over random restarts; a lower bound on the state's max.
+
+    The winner is the first restart that attains the largest value.
+    """
+    _check_args(plane, restarts)
+    n = f.scenario.n_settings
+    forms = tuple(np.broadcast_to(x, (restarts, *x.shape)) for x in state.bloch_form())
+    values, converged, iterations, vectors = _seesaw_rows(
+        f, forms, _starts(n, seed, restarts, plane), tol, max_iterations
+    )
+    best = int(np.argmax(values))
+    return SeesawResult(
+        float(values[best]),
+        MeasurementSet(tuple(vectors[best, :n].tolist()), tuple(vectors[best, n:].tolist())),
+        bool(converged[best]),
+        int(iterations[best]),
+    )
 
 
 @dataclass(frozen=True)
@@ -243,20 +248,6 @@ class SweepResult:
         return list(zip(self.thetas, self.values))
 
 
-def _sweep_point(args):
-    f, theta, restarts, seed, tol, max_iterations, plane = args
-    result = seesaw_maximize(
-        f,
-        TwoQubitState.schmidt(theta),
-        restarts=restarts,
-        seed=seed,
-        tol=tol,
-        max_iterations=max_iterations,
-        plane=plane,
-    )
-    return result.value
-
-
 def theta_sweep(
     f: BellFunctional,
     grid: int = 100,
@@ -267,21 +258,24 @@ def theta_sweep(
     plane: str = "full",
     threads: int = 1,
 ) -> SweepResult:
-    """Run the see-saw per Schmidt angle on a uniform grid over [0, pi/4]."""
+    """Run the see-saw per Schmidt angle on a uniform grid over [0, pi/4].
+
+    Point k draws its restarts from seed + k, as `seesaw_maximize` would.
+    All grid points run as one batch in this process; `threads` is checked
+    (at least 1) but starts no workers.
+    """
     if grid < 2:
         raise ValueError("grid needs at least two points")
-    if restarts < 1 or threads < 1:
-        raise ValueError(f"restarts and threads must be at least 1, got {restarts} and {threads}")
+    _check_args(plane, restarts)
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    n = f.scenario.n_settings
     thetas = [k * (math.pi / 4) / (grid - 1) for k in range(grid)]
-    jobs = [
-        (f, theta, restarts, seed + k, tol, max_iterations, plane)
-        for k, theta in enumerate(thetas)
-    ]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(_sweep_point, jobs))
-    else:
-        values = [_sweep_point(job) for job in jobs]
+    per_point = [TwoQubitState.schmidt(theta).bloch_form() for theta in thetas]
+    forms = tuple(np.repeat(np.array(x), restarts, axis=0) for x in zip(*per_point))
+    starts = np.concatenate([_starts(n, seed + k, restarts, plane) for k in range(grid)])
+    values = _seesaw_rows(f, forms, starts, tol, max_iterations)[0]
+    values = values.reshape(grid, restarts).max(axis=1).tolist()
     best_idx = int(np.argmax(values))
     return SweepResult(
         tuple(thetas), tuple(values), thetas[best_idx], values[best_idx]

@@ -194,6 +194,21 @@ def test_json_roundtrip_float():
     assert from_json_dict(doc) == p
 
 
+@pytest.mark.parametrize("key, bad", [
+    ("alice", 5),
+    ("joint", [0.25, 0.25]),
+    ("n", 2.5),  # int() would truncate it to 2
+    ("bob", [[0.5], 0.5]),  # float() of a list is a TypeError
+])
+def test_json_shape_errors_are_value_errors(key, bad):
+    doc = to_json_dict(BehaviorPoint(Scenario(2), (0.5, 0.5), (0.5, 0.5), ((0.25, 0.25), (0.25, 0.25))))
+    doc[key] = bad
+    with pytest.raises(ValueError):
+        from_json_dict(doc)
+    with pytest.raises(ValueError):
+        from_json_dict([doc])
+
+
 def test_float_validation_uses_slack():
     p = BehaviorPoint(
         Scenario(2), (0.5, 0.5), (0.5, 0.5), ((0.25, 0.25), (0.25, -1e-12))

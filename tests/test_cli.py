@@ -2,12 +2,14 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 from bellbox import cli
 from bellbox.behavior import to_json_dict
 from bellbox.functionals import functional_to_json_dict, make_chsh, make_inn22
 from bellbox.machines import machine_behavior, machine_to_json_dict, pr_box, pr_machine
+from bellbox.quantum import TwoQubitState, quantum_behavior
 
 
 def run(capsys, *argv):
@@ -131,6 +133,10 @@ def test_quantum_seesaw(capsys):
     doc = json.loads(out)
     assert abs(doc["value"] - (1 / math.sqrt(2) - 0.5)) < 1e-6
     assert doc["converged"] is True
+    # the printed vectors (nine digits, so renormalised) reproduce the printed value
+    vectors = [[np.divide(v, np.linalg.norm(v)) for v in doc[k]] for k in ("alice_bloch", "bob_bloch")]
+    p = quantum_behavior(TwoQubitState.schmidt(doc["theta"]), *vectors)
+    assert abs(make_chsh(2).evaluate(p) - doc["value"]) < 1e-8
 
 
 def test_quantum_sweep_csv(capsys):
@@ -167,6 +173,8 @@ def assert_one_line_error(code, err):
     ("functional", "alice", [-1.7, 0]),  # int() would evaluate it as -1
     ("functional", "alice", 5),
     ("behavior", "alice", [0.1, "1/2"]),  # a float in an exact behavior
+    ("behavior", "alice", 5),
+    ("behavior", "n", 2.5),  # int() would truncate it to 2
 ])
 def test_eval_rejects_bad_json_with_one_error_line(tmp_path, capsys, target, key, bad):
     docs = {
@@ -195,6 +203,12 @@ def test_counts_below_one_exit_one(capsys, argv):
     assert out == ""
 
 
+def test_non_finite_theta_exits_one(capsys):
+    code, out, err = run(capsys, "quantum", "seesaw", "--ineq", "CHSH", "--theta", "nan")
+    assert_one_line_error(code, err)
+    assert out == ""
+
+
 # sha256 of the full stdout of each verify-facet run, recorded before the
 # strategy-table layer was unified
 VERIFY_FACET_STDOUT = [
@@ -215,4 +229,25 @@ VERIFY_FACET_STDOUT = [
 def test_verify_facet_stdout_is_pinned(capsys, argv, exit_code, digest):
     code, out, _ = run(capsys, "verify-facet", *argv)
     assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of the full stdout of each quantum sweep run, recorded with the
+# 2x2-projector see-saw and a process pool behind --threads
+QUANTUM_SWEEP_STDOUT = [
+    (["--ineq", "CHSH", "--grid", "5", "--restarts", "4"],
+     "381a1456903188c5083663befa9a6242b307adff89c40164e854a9a101d114be"),
+    (["--ineq", "M3322", "--grid", "7", "--restarts", "4", "--seed", "3"],
+     "d429f4ee677aca58471e9a9c4e861cbf8bd324d0cbf7dc90348f9fd1cf61b408"),
+    (["--ineq", "M3322", "--grid", "7", "--restarts", "4", "--seed", "3", "--format", "json"],
+     "23aeb41867fec492f8899c651da319779dbba953cd15ef20e2e691e3550aabd0"),
+    (["--ineq", "M4422", "--grid", "4", "--restarts", "3", "--threads", "2"],
+     "c2f0df92b0784b40ac8e43f8ddc5d2d7ed2b8176f4b26d81b9aaaa6374d34a24"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", QUANTUM_SWEEP_STDOUT)
+def test_quantum_sweep_stdout_is_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, "quantum", "sweep", *argv)
+    assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
