@@ -11,8 +11,10 @@ C1/C2 obtained from M_NN22 by no-signaling majorization.
 
 The symmetry group is generated by setting permutations, per-setting output
 flips on either side, and the party swap; its order is 2 * (N!)^2 * 2^(2N).
-Output flips act affinely, so transforming a functional can pick up a
-constant term.
+Output flips act affinely, so each element is one integer affine matrix on
+`[coords, 1]` (`SymmetryElement.affine_matrix`).  Points move by that matrix;
+a functional's coefficient row moves by the inverse's matrix, which can give
+it a constant term; and orbits close over integer coefficient rows.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
+
+import numpy as np
 
 from .behavior import BehaviorPoint, Scenario, as_integer, json_tables
 
@@ -229,6 +233,23 @@ def _check_perm(perm, n):
         raise ValueError("not a permutation of the settings")
 
 
+def _party_matrix(perm, flips) -> np.ndarray:
+    """One party's (N+1)x(N+1) factor of `SymmetryElement.affine_matrix`."""
+    n = len(perm)
+    m = np.zeros((n + 1, n + 1), dtype=np.int64)
+    m[0, 0] = 1
+    m[1:, 0] = flips
+    m[np.arange(1, n + 1), 1 + np.asarray(perm)] = np.where(flips, -1, 1)
+    return m
+
+
+def _from_vector(scenario: Scenario, row) -> BellFunctional:
+    """Inverse of `BellFunctional.coefficient_vector`."""
+    n = scenario.n_settings
+    joint = tuple(tuple(row[k : k + n]) for k in range(2 * n, n * (n + 2), n))
+    return BellFunctional(scenario, tuple(row[:n]), tuple(row[n : 2 * n]), joint, row[-1])
+
+
 @dataclass(frozen=True)
 class SymmetryElement:
     """A relabeling: party swap first, then setting permutations and output flips.
@@ -269,79 +290,44 @@ class SymmetryElement:
     def identity(cls, n: int) -> "SymmetryElement":
         return cls(tuple(range(n)), tuple(range(n)), (0,) * n, (0,) * n, False)
 
-    def apply_to_point(self, point: BehaviorPoint) -> BehaviorPoint:
+    def affine_matrix(self) -> np.ndarray:
+        """The integer (d+1)x(d+1) matrix M with `[coords(g.S), 1] = M @ [coords(S), 1]`.
+
+        Bordered with the constant 1, a behavior is the table
+        Q = [[1, bob], [alice, joint]], and the relabeling maps it to
+        L_A Q L_B^T (Q^T under the party swap), where row x+1 of a party's L
+        reads its source setting, or 1 minus it on a flipped slot.  M is
+        L_A (x) L_B with Q's entries placed at their coordinate positions.
+        """
         n = self.n_settings
-        if point.scenario.n_settings != n:
+        d = n * (n + 2)
+        table = np.block([[d, np.arange(n, 2 * n)], [np.arange(n)[:, None], np.arange(2 * n, d).reshape(n, n)]])
+        source = table.T if self.party_swap else table
+        m = np.empty((d + 1, d + 1), dtype=np.int64)
+        m[np.ix_(table.ravel(), source.ravel())] = np.kron(
+            _party_matrix(self.alice_perm, self.alice_flips), _party_matrix(self.bob_perm, self.bob_flips)
+        )
+        return m
+
+    def apply_to_point(self, point: BehaviorPoint) -> BehaviorPoint:
+        """`affine_matrix() @ [coords, 1]`, in the point's own scalars (exact or float)."""
+        if point.scenario.n_settings != self.n_settings:
             raise ValueError("scenario mismatch")
-        if self.party_swap:
-            a1, b1 = point.bob, point.alice
-            j1 = tuple(zip(*point.joint))
-        else:
-            a1, b1, j1 = point.alice, point.bob, point.joint
-        sa, sb = self.alice_perm, self.bob_perm
-        fa, fb = self.alice_flips, self.bob_flips
-        alice = tuple(1 - a1[sa[x]] if fa[x] else a1[sa[x]] for x in range(n))
-        bob = tuple(1 - b1[sb[y]] if fb[y] else b1[sb[y]] for y in range(n))
-        joint = []
-        for x in range(n):
-            p = sa[x]
-            row = []
-            for y in range(n):
-                q = sb[y]
-                base = j1[p][q]
-                if fa[x] and fb[y]:
-                    row.append(1 - a1[p] - b1[q] + base)
-                elif fa[x]:
-                    row.append(b1[q] - base)
-                elif fb[y]:
-                    row.append(a1[p] - base)
-                else:
-                    row.append(base)
-            joint.append(tuple(row))
-        return BehaviorPoint(point.scenario, alice, bob, tuple(joint))
+        v = (*point.coords(), 1)
+        moved = [sum(c * v[k] for k, c in enumerate(row) if c) for row in self.affine_matrix()[:-1].tolist()]
+        return BehaviorPoint.from_coords(point.scenario, moved)
 
     def apply_to_functional(self, f: BellFunctional) -> BellFunctional:
         """Push a functional forward so that duality holds.
 
         For every behavior S, `g.apply_to_functional(f).evaluate(S)` equals
-        `f.evaluate(g.inverse().apply_to_point(S))`.
+        `f.evaluate(g.inverse().apply_to_point(S))`, so the coefficient row
+        is `[coeffs, constant] @ affine_matrix(g.inverse())`.
         """
-        n = self.n_settings
-        if f.scenario.n_settings != n:
+        if f.scenario.n_settings != self.n_settings:
             raise ValueError("scenario mismatch")
-        if self.party_swap:
-            a1, b1 = f.bob, f.alice
-            c1 = tuple(zip(*f.joint))
-        else:
-            a1, b1, c1 = f.alice, f.bob, f.joint
-        sa, sb = self.alice_perm, self.bob_perm
-        fa, fb = self.alice_flips, self.bob_flips
-        flipped_a = [x for x in range(n) if fa[x]]
-        flipped_b = [y for y in range(n) if fb[y]]
-        alice = []
-        for x in range(n):
-            p = sa[x]
-            s = a1[p] + sum(c1[p][sb[y]] for y in flipped_b)
-            alice.append(-s if fa[x] else s)
-        bob = []
-        for y in range(n):
-            q = sb[y]
-            s = b1[q] + sum(c1[sa[x]][q] for x in flipped_a)
-            bob.append(-s if fb[y] else s)
-        joint = tuple(
-            tuple(
-                -c1[sa[x]][sb[y]] if fa[x] != fb[y] else c1[sa[x]][sb[y]]
-                for y in range(n)
-            )
-            for x in range(n)
-        )
-        constant = (
-            f.constant
-            + sum(a1[sa[x]] for x in flipped_a)
-            + sum(b1[sb[y]] for y in flipped_b)
-            + sum(c1[sa[x]][sb[y]] for x in flipped_a for y in flipped_b)
-        )
-        return BellFunctional(f.scenario, tuple(alice), tuple(bob), joint, constant)
+        row = np.asarray(f.coefficient_vector(), dtype=object) @ self.inverse().affine_matrix()
+        return _from_vector(f.scenario, row.tolist())
 
     def compose(self, other: "SymmetryElement") -> "SymmetryElement":
         """The element acting as `other` first, then `self`."""
@@ -417,20 +403,28 @@ def random_element(n: int, rng) -> SymmetryElement:
 
 
 def orbit(f: BellFunctional) -> set:
-    """Closure of {f} under the full relabeling group (party swap included)."""
-    gens = group_generators(f.scenario.n_settings)
-    seen = {f}
-    frontier = [f]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for gen in gens:
-                h = gen.apply_to_functional(g)
-                if h not in seen:
-                    seen.add(h)
-                    nxt.append(h)
-        frontier = nxt
-    return seen
+    """Closure of {f} under the full relabeling group (party swap included).
+
+    The closure runs over int64 coefficient rows: a generator moves a row
+    by the affine matrix of its inverse, all generators in one product.
+    No entry of a moved member exceeds (d+1) times the coefficients' sum of
+    absolute values, so a functional past that bound is refused, not wrapped.
+    """
+    row = f.coefficient_vector()
+    if len(row) * sum(map(abs, row)) >= 2**63:
+        raise ValueError("coefficients too large for an exact int64 orbit closure")
+    acts = np.hstack([g.inverse().affine_matrix() for g in group_generators(f.scenario.n_settings)])
+    rows = np.asarray([row], dtype=np.int64)
+    seen, found = set(), []
+    while len(rows):
+        fresh = []
+        for i, key in enumerate(rows.view(np.dtype((np.void, rows[0].nbytes))).ravel().tolist()):
+            if key not in seen:
+                seen.add(key)
+                fresh.append(i)
+        found.append(rows[fresh])
+        rows = (found[-1] @ acts).reshape(-1, acts.shape[0])
+    return {_from_vector(f.scenario, row) for row in np.concatenate(found).tolist()}
 
 
 def canonical_form(f: BellFunctional) -> BellFunctional:

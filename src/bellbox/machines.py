@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .behavior import BehaviorPoint, Scenario
+from .behavior import BehaviorPoint, Scenario, as_integer
 from .functionals import BellFunctional, make_inn22
 
 HALF = Fraction(1, 2)
@@ -28,12 +28,14 @@ class MachineSpec:
     anticorrelated: frozenset
 
     def __post_init__(self):
-        if self.n_inputs < 2:
+        n = as_integer(self.n_inputs, "n_inputs")
+        if n < 2:
             raise ValueError("machines need at least two inputs")
-        pairs = frozenset((int(x), int(y)) for x, y in self.anticorrelated)
+        pairs = frozenset((as_integer(x, "input"), as_integer(y, "input")) for x, y in self.anticorrelated)
         for x, y in pairs:
-            if not (0 <= x < self.n_inputs and 0 <= y < self.n_inputs):
+            if not (0 <= x < n and 0 <= y < n):
                 raise ValueError("anticorrelation pair out of input range")
+        object.__setattr__(self, "n_inputs", n)
         object.__setattr__(self, "anticorrelated", pairs)
 
     def anticorrelates(self, x: int, y: int) -> bool:
@@ -101,8 +103,8 @@ class WiringTable:
     bob: tuple
 
     def __post_init__(self):
-        alice = tuple(tuple(int(v) for v in row) for row in self.alice)
-        bob = tuple(tuple(int(v) for v in row) for row in self.bob)
+        alice = tuple(tuple(as_integer(v, "wiring entry") for v in row) for row in self.alice)
+        bob = tuple(tuple(as_integer(v, "wiring entry") for v in row) for row in self.bob)
         if not alice or not bob:
             raise ValueError("wiring tables cannot be empty")
         widths = {len(r) for r in alice} | {len(r) for r in bob}
@@ -191,11 +193,19 @@ def machine_to_json_dict(m: MachineSpec) -> dict:
     }
 
 
+def _json_rows(doc: dict, key: str, width: int | None = None) -> list:
+    """`doc[key]` if it is a list of lists (of `width` entries each), else ValueError."""
+    rows = doc[key]
+    if not isinstance(rows, list) or not all(isinstance(r, list) and width in (None, len(r)) for r in rows):
+        raise ValueError(f'"{key}" must be a list of lists' + ("" if width is None else f" of {width} entries"))
+    return rows
+
+
 def machine_from_json_dict(doc: dict) -> MachineSpec:
-    return MachineSpec(
-        int(doc["n_inputs"]),
-        frozenset((int(x), int(y)) for x, y in doc["anticorrelated"]),
-    )
+    """Parse a machine document; a malformed one raises ValueError."""
+    if not isinstance(doc, dict):
+        raise ValueError("a machine document is a JSON object")
+    return MachineSpec(doc["n_inputs"], _json_rows(doc, "anticorrelated", 2))
 
 
 def wiring_to_json_dict(w: WiringTable) -> dict:
@@ -203,7 +213,7 @@ def wiring_to_json_dict(w: WiringTable) -> dict:
 
 
 def wiring_from_json_dict(doc: dict) -> WiringTable:
-    return WiringTable(
-        tuple(tuple(r) for r in doc["alice"]),
-        tuple(tuple(r) for r in doc["bob"]),
-    )
+    """Parse a wiring document; a malformed one raises ValueError."""
+    if not isinstance(doc, dict):
+        raise ValueError("a wiring document is a JSON object")
+    return WiringTable(_json_rows(doc, "alice"), _json_rows(doc, "bob"))

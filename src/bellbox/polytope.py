@@ -5,8 +5,10 @@ the local class and for one box alike.  A facet certificate bundles the
 exact class maximum, the saturating behaviors, and the affine rank of the
 saturating set; it is accepted exactly when the maximum is 0 and the rank
 is N(N+2)-1.  Vertex-hood of enumerated points rests on the generate /
-deduplicate / discard-local filter; the known counts are the regression
-oracle, not a from-scratch convex-hull computation.
+deduplicate (by base-3 row keys) / discard-local filter; the known counts
+are the regression oracle, not a from-scratch convex-hull computation.
+The lemma sampler reads its deterministic points straight off the local
+option table in half-units.
 """
 
 from __future__ import annotations
@@ -158,13 +160,17 @@ def _distinct_attaining_rows(state: DecoupledMax, limit: int):
         yield from rows[fresh].tolist()
 
 
+# at most this many Alice choice vectors: the whole saturating set is streamed
+EXHAUST_VECTORS = 4096
+# at most this many saturating behaviors are kept on a certificate
+SATURATING_POINTS_CAP = 4096
+
+
 def verify_facet(
     f: BellFunctional,
     strategy_class,
     *,
     max_strategies: int = 500_000,
-    points_cap: int = 4096,
-    exhaust: bool | None = None,
 ) -> FacetCertificate:
     """Certify tightness and affine rank of `f` over a strategy class.
 
@@ -173,8 +179,9 @@ def verify_facet(
     `WiringStrategy`.  The maximum is exact.  Only when it is 0 are the first
     `max_strategies` maximizers streamed from the option table, deduplicated,
     and the affine rank of their behaviors computed by integer elimination.
-    For large classes the stream stops once the rank target N(N+2)-1 is
-    reached unless `exhaust` forces full collection.
+    With more than `EXHAUST_VECTORS` Alice choice vectors the stream stops
+    once the rank target N(N+2)-1 is reached; the certificate keeps the
+    first `SATURATING_POINTS_CAP` behaviors.
     """
     machine = None if strategy_class == "local" else strategy_class
     if machine is not None and not isinstance(machine, MachineSpec):
@@ -182,9 +189,7 @@ def verify_facet(
     if max_strategies < 1:
         raise ValueError(f"max_strategies must be at least 1, got {max_strategies}")
     state = DecoupledMax(f, machine)
-    if exhaust is None:
-        exhaust = state.a**state.n <= 4096
-    stop_rank = None if exhaust else f.scenario.dimension - 1
+    stop_rank = None if state.a**state.n <= EXHAUST_VECTORS else f.scenario.dimension - 1
     n_saturating = n_det = 0
     kept = []
     basis = IntRowBasis()
@@ -195,7 +200,7 @@ def verify_facet(
             else:
                 basis.add([x - y for x, y in zip(vec, base)])
             n_det += all(v in (0, 2) for v in vec)
-            if len(kept) < points_cap:
+            if len(kept) < SATURATING_POINTS_CAP:
                 kept.append(vec)
             if basis.rank == stop_rank:
                 break
@@ -274,10 +279,18 @@ def enumerate_nonlocal_vertices(n: int, machine: MachineSpec, facets) -> list:
     """Distinct one-machine behaviors that violate at least one supplied facet.
 
     Mirrors the generate / deduplicate / discard-local procedure; with the
-    complete facet list this returns exactly the non-local vertices.
+    complete facet list this returns exactly the non-local vertices, in
+    lexicographic row order.  Rows are deduplicated by base-3 int64 keys,
+    built one column at a time; they fit for n <= 5 (3^35 < 2^63).
     """
+    if n > 5:
+        raise ValueError("base-3 row keys overflow int64 beyond five settings")
     matrix = one_machine_half_matrix(n, machine)
-    distinct = np.unique(matrix, axis=0)
+    keys = np.zeros(matrix.shape[0], dtype=np.int64)
+    for column in matrix.T:
+        keys *= 3
+        keys += column
+    distinct = matrix[np.unique(keys, return_index=True)[1]]
     vals2 = doubled_values(distinct, facets)
     mask = (vals2 > 0).any(axis=1)
     return [tuple(int(v) for v in row) for row in distinct[mask]]
@@ -455,7 +468,8 @@ def check_lemma1(
     def det_halves():
         u = [rng.randrange(2) for _ in range(n)]
         v = [rng.randrange(2) for _ in range(n)]
-        return to_half_units(deterministic_point(scenario, u, v))
+        # a local option code is the output bit, so u, v index the option table
+        return half_rows(None, u, v).tolist()
 
     def dot(coeffs, vec):
         return sum(c * x for c, x in zip(coeffs, vec))

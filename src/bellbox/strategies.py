@@ -15,6 +15,9 @@ each of Bob's settings can be optimized independently.  This turns the
 (2+2K)^(2N) product search into (2+2K)^N * N * (2+2K) evaluations, all in
 integer half-units.  Shared randomness never helps a linear
 objective, so searching pure wirings is exhaustive for the strategy class.
+The max-min of two functionals bounds min(f, g) by (f + g) / 2 per Alice
+vector and runs the exact Pareto sweep only where that bound beats a value
+already attained.
 """
 
 from __future__ import annotations
@@ -33,6 +36,9 @@ from .functionals import BellFunctional
 from .machines import MachineSpec
 
 DEFAULT_SETTING_CAP = 6
+
+# the decoupled maximizer refuses more Alice choice vectors than this
+VECTOR_CAP = 2_000_000
 
 OPT_DET0 = 0
 OPT_DET1 = 1
@@ -242,12 +248,12 @@ class DecoupledMax:
     gathered from `option_table(machine)`; values are doubled integers.
     """
 
-    def __init__(self, f: BellFunctional, machine: MachineSpec | None, vector_cap: int = 2_000_000):
+    def __init__(self, f: BellFunctional, machine: MachineSpec | None):
         n = f.scenario.n_settings
         a = alphabet_size(machine)
-        if a**n > vector_cap:
+        if a**n > VECTOR_CAP:
             raise CapExceededError(
-                f"{a}^{n} Alice choice vectors exceed the optimizer cap {vector_cap}"
+                f"{a}^{n} Alice choice vectors exceed the optimizer cap {VECTOR_CAP}"
             )
         self.machine = machine
         self.n = n
@@ -359,17 +365,31 @@ def _pareto_prune(pairs):
 def max_min_over_one_machine(f: BellFunctional, g: BellFunctional, machine: MachineSpec) -> Fraction:
     """Exact max over one-machine strategies of min(f, g).
 
-    Per Alice vector, the reachable (f, g) value pairs form a Minkowski sum
-    of per-setting option sets; a Pareto frontier sweep keeps this exact
-    without enumerating Bob's full product space.
+    In doubled units min(f, g) <= floor((f + g) / 2), and per Alice vector
+    Bob maximizes f + g column by column; playing the first such argmax
+    attains some min(f, g).  Only Alice vectors whose bound beats the best
+    attained value get the exact search: their reachable (f, g) value pairs
+    form a Minkowski sum of per-setting option sets, and a Pareto frontier
+    sweep keeps this exact without enumerating Bob's full product space.
     """
     if f.scenario != g.scenario:
         raise ValueError("functionals live in different scenarios")
     sf = DecoupledMax(f, machine)
     sg = DecoupledMax(g, machine)
     n, a = sf.n, sf.a
-    best2 = None
-    for s in range(sf.avec.shape[0]):
+    bound, attained = [], []
+    buffer = np.empty((STREAM_BATCH, n, a), dtype=np.int64)
+    for lo in range(0, sf.avec.shape[0], STREAM_BATCH):
+        rows = slice(lo, lo + STREAM_BATCH)
+        tf = sf.term[rows]
+        both = np.add(tf, sg.term[rows], out=buffer[: len(tf)])
+        play = both.argmax(axis=2)[..., None]
+        f_part = sf.alice_part[rows] + np.take_along_axis(tf, play, 2).sum(axis=(1, 2))
+        both_part = sf.alice_part[rows] + sg.alice_part[rows] + both.max(axis=2).sum(axis=1)
+        bound.append(both_part // 2)
+        attained.append(np.minimum(f_part, both_part - f_part))
+    best2 = int(np.concatenate(attained).max())
+    for s in np.flatnonzero(np.concatenate(bound) > best2).tolist():
         frontier = [(0, 0)]
         for j in range(n):
             tf = sf.term[s, j]
@@ -378,7 +398,5 @@ def max_min_over_one_machine(f: BellFunctional, g: BellFunctional, machine: Mach
                 [(u + int(tf[c]), v + int(tg[c])) for u, v in frontier for c in range(a)]
             )
         base_f, base_g = int(sf.alice_part[s]), int(sg.alice_part[s])
-        cand = max(min(base_f + u, base_g + v) for u, v in frontier)
-        if best2 is None or cand > best2:
-            best2 = cand
+        best2 = max(best2, max(min(base_f + u, base_g + v) for u, v in frontier))
     return Fraction(best2, 2)

@@ -193,6 +193,24 @@ def test_eval_rejects_bad_json_with_one_error_line(tmp_path, capsys, target, key
     assert out == ""
 
 
+@pytest.mark.parametrize("action, flag, doc", [
+    ("check", "--machine", {"n_inputs": 3, "anticorrelated": 5}),
+    ("check", "--machine", [3, [[1, 2], [2, 1]]]),
+    ("check", "--machine", {"n_inputs": 3.5, "anticorrelated": [[1, 2], [2, 1]]}),  # int() gives 3
+    ("check", "--machine", {"n_inputs": 3, "anticorrelated": [[1.7, 1]]}),  # int() gives (1, 1)
+    ("check", "--machine", {"n_inputs": 3, "anticorrelated": [[1, 2, 0]]}),
+    ("wire", "--wiring", {"alice": 5, "bob": [[0], [1]]}),
+    ("wire", "--wiring", {"alice": [[0.5], [1]], "bob": [[0], [1]]}),  # int() gives 0
+    ("wire", "--wiring", [[[0], [1]], [[0], [1]]]),
+])
+def test_machine_rejects_bad_json_with_one_error_line(tmp_path, capsys, action, flag, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "machine", action, flag, str(path))
+    assert_one_line_error(code, err)
+    assert out == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["quantum", "sweep", "--ineq", "CHSH", "--grid", "2", "--threads", "0", "--restarts", "0"],
     ["verify-facet", "--ineq", "M5522", "--class", "box:pr:4", "--max-strategies", "0"],
@@ -249,5 +267,25 @@ QUANTUM_SWEEP_STDOUT = [
 @pytest.mark.parametrize("argv, digest", QUANTUM_SWEEP_STDOUT)
 def test_quantum_sweep_stdout_is_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, "quantum", "sweep", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of the full stdout of each run, recorded with the hand-written
+# relabeling maps, np.unique(axis=0) row deduplication and the lemma sampler
+# building Fraction points
+EXACT_STDOUT = [
+    (["census"], "2e9222e1d27637246c5b746dbe76299e8196addaff79824883b0cb6cb9d036e6"),
+    (["census", "--format", "json"], "d86a85c7c2efeb6a46b9b30e6385b18946937831f524bd0629504a7ce68e3565"),
+    (["enum-ns", "--n", "3", "--classify"], "127d0a83aea632ff6e9025ec0af822d10ca2f88b9e31152478d5d12bd05d2b5f"),
+    (["enum-ns", "--n", "2"], "6bcd53fb832fb162115b970c239322f7033db8f15c50a87234abb04f25f19ba0"),
+    (["lemma1", "--n", "4", "--samples", "2000", "--seed", "5"],
+     "735d891831e1886b0485ab3aadb2cd4c6652eeb590bd4c19190c8c4cefdcd02e"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", EXACT_STDOUT)
+def test_exact_stdout_is_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

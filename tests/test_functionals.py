@@ -1,6 +1,8 @@
+import hashlib
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bellbox.behavior import Scenario, convex_combine, validate
@@ -290,3 +292,45 @@ def test_orbit_members_stay_tight_locally(chsh3_orbit):
     for _ in range(5):
         member = gens[rng.randrange(len(gens))].apply_to_functional(member)
     assert brute_local_max(member) == 0
+
+
+def test_affine_matrix_is_a_group_homomorphism():
+    rng = random.Random(2024)
+    for n in (2, 3, 4, 5):
+        ident = np.eye(n * (n + 2) + 1, dtype=np.int64)
+        assert np.array_equal(SymmetryElement.identity(n).affine_matrix(), ident)
+        for _ in range(40):
+            g = random_element(n, rng)
+            h = random_element(n, rng)
+            m = g.affine_matrix()
+            assert np.array_equal(g.compose(h).affine_matrix(), m @ h.affine_matrix())
+            assert np.array_equal(m @ g.inverse().affine_matrix(), ident)
+            assert np.array_equal(m[-1], ident[-1])
+
+
+def test_large_coefficients_move_exactly_or_are_refused():
+    chsh = make_chsh(2)
+    big = BellFunctional(chsh.scenario, (2**70, 0), chsh.bob, chsh.joint)
+    rng = random.Random(8)
+    for _ in range(20):
+        g = random_element(2, rng)
+        s = random_exact_point(rng, 2)
+        assert transform(big, g).evaluate(s) == big.evaluate(transform_point(s, g.inverse()))
+    # the orbit closure runs in int64, which would wrap
+    with pytest.raises(ValueError):
+        orbit(big)
+
+
+# sha256 of the sorted coefficient vectors of each orbit, recorded with the
+# hand-written point and functional maps
+ORBIT_DIGESTS = [
+    (make_chsh, 72, "6bdac17411cc748396b9d94c82c1c52bd90b8e0d5a82e769bf58cee99ac33f00"),
+    (make_inn22, 576, "bbc92d84fce8ae12d9836c9d1490b5c700ee049c42c9a7e67e42542bd94a8107"),
+]
+
+
+@pytest.mark.parametrize("maker, size, digest", ORBIT_DIGESTS)
+def test_orbit_is_pinned(maker, size, digest):
+    rows = sorted(f.coefficient_vector() for f in orbit(maker(3)))
+    assert len(rows) == size
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest

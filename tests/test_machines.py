@@ -142,3 +142,19 @@ def test_machine_json_roundtrip():
     assert machine_from_json_dict(machine_to_json_dict(m)) == m
     w = make_prn_wiring(4)
     assert wiring_from_json_dict(wiring_to_json_dict(w)) == w
+
+
+def test_non_integral_machine_and_wiring_entries_are_rejected_not_truncated():
+    with pytest.raises(ValueError):
+        MachineSpec(3.5, frozenset({(1, 2)}))
+    with pytest.raises(ValueError):
+        MachineSpec(3, frozenset({(1.7, 1)}))
+    with pytest.raises(ValueError):
+        WiringTable(((0.5,), (1,)), ((0,), (1,)))
+    assert MachineSpec(3.0, [(1.0, 2)]) == MachineSpec(3, frozenset({(1, 2)}))
+    for bad in ({"n_inputs": 3, "anticorrelated": 5}, [3, []], {"n_inputs": 3, "anticorrelated": [[1]]}):
+        with pytest.raises(ValueError):
+            machine_from_json_dict(bad)
+    for bad in ({"alice": 5, "bob": [[0]]}, [[[0]], [[1]]]):
+        with pytest.raises(ValueError):
+            wiring_from_json_dict(bad)

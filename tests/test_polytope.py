@@ -260,6 +260,14 @@ def test_two_setting_vertex_census(chsh2_orbit):
     assert len(enumerate_local(Scenario(2))) + len(rows) == 24
 
 
+def test_vertex_rows_are_distinct_and_sorted_and_keys_are_bounded(chsh2_orbit):
+    rows = enumerate_nonlocal_vertices(2, pr_box(), chsh2_orbit)
+    assert rows == sorted(set(rows))
+    # base-3 row keys of n(n+2) digits overflow int64 past five settings
+    with pytest.raises(ValueError):
+        enumerate_nonlocal_vertices(6, pr_box(), chsh2_orbit)
+
+
 def test_recipe_machine_saturates_the_no_signaling_maximum(
     chsh2_orbit, labeled_vertices
 ):

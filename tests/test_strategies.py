@@ -6,6 +6,7 @@ import pytest
 
 from bellbox.behavior import BehaviorPoint, Scenario, validate
 from bellbox.functionals import (
+    BellFunctional,
     make_c1,
     make_c2,
     make_chsh,
@@ -328,6 +329,22 @@ def test_max_min_of_the_paired_relaxations():
     ))
     assert make_c1(4).evaluate(witness) == make_c2(4).evaluate(witness) == HALF
     assert make_mnn22(4).evaluate(witness) == 0
+
+
+def test_max_min_where_the_half_sum_bound_is_not_tight():
+    # min(f, g) <= (f + g) / 2 bounds the max-min by 1/2 here, but no
+    # strategy reaches it, so the exact frontier search decides the value
+    scenario = Scenario(2)
+    f = BellFunctional(scenario, (-2, 2), (-2, 2), ((1, 1), (2, -1)))
+    g = BellFunctional(scenario, (2, -2), (2, -2), ((-2, -2), (-1, -1)))
+    both = BellFunctional(scenario, (0, 0), (0, 0), ((-1, -1), (1, -2)))
+    assert max_over_one_machine(both, pr_box()).value == 1
+    exhaustive = max(
+        min(f.evaluate(b), g.evaluate(b))
+        for b in map(strategy_behavior, enumerate_one_machine(scenario, pr_box()))
+    )
+    assert exhaustive == 0
+    assert max_min_over_one_machine(f, g, pr_box()) == exhaustive
 
 
 def test_strategy_json_roundtrip():
