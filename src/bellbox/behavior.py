@@ -52,7 +52,9 @@ class Scenario:
 def _as_scalar(value):
     if isinstance(value, bool):
         raise TypeError("booleans are not probabilities")
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
         return value
@@ -194,15 +196,20 @@ def to_half_units(point: BehaviorPoint) -> tuple:
     """Coordinates doubled to integers; only for points on the half-integer grid."""
     out = []
     for v in point.coords():
-        d = 2 * v
-        if not isinstance(d, Fraction) or d.denominator != 1:
+        if not isinstance(v, Fraction) or v.denominator > 2:
             raise ValueError("point is not half-integer valued")
-        out.append(int(d))
+        out.append(v.numerator if v.denominator == 2 else 2 * v.numerator)
     return tuple(out)
 
 
+# the half-unit values of every table row, shared: a Fraction is immutable
+_HALVES = (Fraction(0), HALF, Fraction(1))
+
+
 def from_half_units(scenario: Scenario, halves: Sequence[int]) -> BehaviorPoint:
-    return BehaviorPoint.from_coords(scenario, [Fraction(h, 2) for h in halves])
+    return BehaviorPoint.from_coords(
+        scenario, [_HALVES[h] if 0 <= h <= 2 else Fraction(h, 2) for h in halves]
+    )
 
 
 def _encode_scalar(v):

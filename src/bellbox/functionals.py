@@ -268,14 +268,16 @@ class SymmetryElement:
 
     def __post_init__(self):
         n = len(self.alice_perm)
-        alice_perm = tuple(int(v) for v in self.alice_perm)
-        bob_perm = tuple(int(v) for v in self.bob_perm)
+        alice_perm = tuple(as_integer(v, "setting") for v in self.alice_perm)
+        bob_perm = tuple(as_integer(v, "setting") for v in self.bob_perm)
         _check_perm(alice_perm, n)
         _check_perm(bob_perm, n)
-        alice_flips = tuple(int(bool(v)) for v in self.alice_flips)
-        bob_flips = tuple(int(bool(v)) for v in self.bob_flips)
+        alice_flips = tuple(as_integer(v, "flip bit") for v in self.alice_flips)
+        bob_flips = tuple(as_integer(v, "flip bit") for v in self.bob_flips)
         if len(alice_flips) != n or len(bob_flips) != n:
             raise ValueError("flip vectors must have one bit per setting")
+        if not set(alice_flips + bob_flips) <= {0, 1}:
+            raise ValueError("flip bits are 0 or 1")
         object.__setattr__(self, "alice_perm", alice_perm)
         object.__setattr__(self, "bob_perm", bob_perm)
         object.__setattr__(self, "alice_flips", alice_flips)

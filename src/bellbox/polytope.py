@@ -7,8 +7,9 @@ saturating set; it is accepted exactly when the maximum is 0 and the rank
 is N(N+2)-1.  Vertex-hood of enumerated points rests on the generate /
 deduplicate (by base-3 row keys) / discard-local filter; the known counts
 are the regression oracle, not a from-scratch convex-hull computation.
-The lemma sampler reads its deterministic points straight off the local
-option table in half-units.
+The majorization lemma holds by exact cell identities (`lemma1_identities`);
+its seeded sampler mixes PR_n with local vertices, so it evaluates M, C1
+and C2 as the same mixture of values tabulated once per vertex.
 """
 
 from __future__ import annotations
@@ -417,7 +418,23 @@ def membership_by_facets(point: BehaviorPoint, facets) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Seeded property check for the majorization lemma
+# The majorization lemma: exact identities and a seeded property check
+
+
+def lemma1_identities(n: int) -> tuple:
+    """Cells (i, j, r_A, r_B) whose probabilities sum to C1 - M and to C2 - M.
+
+    With M = `make_mnn22(n)`, identically in the coordinates,
+    C1 - M = P(01|0,0) + sum_{i=1}^{n-1} P(10|i,0) + P(00|n-1,1) and
+    C2 - M = P(01|0,n-1) + sum_{j=0}^{n-2} P(10|1,j) + P(00|1,n-1).
+    Every cell is >= 0 on the no-signaling polytope, so each relaxation is
+    >= M there exactly.
+    """
+    if n < 3:
+        raise ValueError("the lemma concerns three or more settings")
+    c1 = [(0, 0, 0, 1), *((i, 0, 1, 0) for i in range(1, n)), (n - 1, 1, 0, 0)]
+    c2 = [(0, n - 1, 0, 1), *((1, j, 1, 0) for j in range(n - 1)), (1, n - 1, 0, 0)]
+    return c1, c2
 
 
 @dataclass(frozen=True)
@@ -449,56 +466,63 @@ def check_lemma1(
     lambda pushed past the positivity threshold, perturbs every other sample
     toward a second vertex, and asserts that each sampled point with a
     positive value also has strictly positive values on both majorized
-    inequalities.  Arithmetic is exact (integer numerators over powers of
-    two), and the generator is seeded for reproducibility.
+    inequalities.  The values are the same mixtures of the doubled values of
+    (M, C1, C2) at PR_n and at each vertex, tabulated once; a point is built
+    only for a counterexample.  Arithmetic is exact (integer numerators over
+    powers of two), and the generator is seeded for reproducibility.  The
+    lemma itself rests on `lemma1_identities`; this is a property check.
     """
     if n < 3:
         raise ValueError("the lemma concerns three or more settings")
     rng = random.Random(seed)
     den = 4096
-    m = make_mnn22(n)
-    c1 = make_c1(n)
-    c2 = make_c2(n)
-    mc, mk = m.coefficient_vector()[:-1], m.constant
-    c1c, c1k = c1.coefficient_vector()[:-1], c1.constant
-    c2c, c2k = c2.coefficient_vector()[:-1], c2.constant
+    functionals = (make_mnn22(n), make_c1(n), make_c2(n))
+    coeffs, _ = functional_matrix(functionals)
+    mk, c1k, c2k = (f.constant for f in functionals)
+    # doubled linear parts of (M, C1, C2) at every deterministic vertex, one
+    # row per (u, v) in option-table order: u then v, big-endian
+    vertices = one_machine_half_matrix(n, None)
+    vertex_vals = (vertices.astype(np.int64) @ coeffs.T).tolist()
     pr_halves = to_half_units(machine_behavior(pr_machine(n)))
+    pr_vals = (np.asarray(pr_halves, dtype=np.int64) @ coeffs.T).tolist()
+    v_pr2 = pr_vals[0] + 2 * mk
     scenario = Scenario(n)
 
-    def det_halves():
-        u = [rng.randrange(2) for _ in range(n)]
-        v = [rng.randrange(2) for _ in range(n)]
-        # a local option code is the output bit, so u, v index the option table
-        return half_rows(None, u, v).tolist()
+    def vertex():
+        row = 0
+        for _ in range(2 * n):
+            row = 2 * row + rng.randrange(2)
+        return row
 
-    def dot(coeffs, vec):
-        return sum(c * x for c, x in zip(coeffs, vec))
+    def weigh(x, p, y, q):
+        return [x * s + y * t for s, t in zip(p, q)]
 
     counterexamples = []
     checked = 0
     for trial in range(samples):
-        local = det_halves()
-        v_local2 = dot(mc, local) + 2 * mk
-        v_pr2 = dot(mc, pr_halves) + 2 * mk
+        local = vertex()
+        v_local2 = vertex_vals[local][0] + 2 * mk
         # smallest lambda = a/den with a positive mixture value
         a_min = (-v_local2 * den) // (v_pr2 - v_local2) + 1
         a = rng.randrange(max(a_min, 1), den + 1)
-        mix = [a * p + (den - a) * q for p, q in zip(pr_halves, local)]
+        vals = weigh(a, pr_vals, den - a, vertex_vals[local])
         denom = 2 * den
+        bumped = False
         if trial % 2 == 1:
-            other = det_halves()
+            other = vertex()
             b = rng.randrange(0, den // 4)
-            bumped = [(den - b) * w + b * den * q for w, q in zip(mix, other)]
-            if dot(mc, bumped) + mk * den * denom > 0:
-                mix = bumped
+            bump = weigh(den - b, vals, b * den, vertex_vals[other])
+            if bump[0] + mk * den * denom > 0:
+                vals, bumped = bump, True
                 denom *= den
-        m_num = dot(mc, mix) + mk * denom
+        m_num, c1_num, c2_num = vals[0] + mk * denom, vals[1] + c1k * denom, vals[2] + c2k * denom
         if m_num <= 0:
             raise RuntimeError("sampler produced a point below the bound")
         checked += 1
-        c1_num = dot(c1c, mix) + c1k * denom
-        c2_num = dot(c2c, mix) + c2k * denom
         if c1_num <= 0 or c2_num <= 0:
+            mix = weigh(a, pr_halves, den - a, vertices[local].tolist())
+            if bumped:
+                mix = weigh(den - b, mix, b * den, vertices[other].tolist())
             point = BehaviorPoint.from_coords(
                 scenario, [Fraction(x, denom) for x in mix]
             )

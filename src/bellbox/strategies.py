@@ -31,7 +31,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .behavior import BehaviorPoint, Scenario, from_half_units
+from .behavior import BehaviorPoint, Scenario, as_integer, from_half_units
 from .functionals import BellFunctional
 from .machines import MachineSpec
 
@@ -66,7 +66,7 @@ def option_code(name: str) -> int:
         return OPT_DET0
     if name == "1d":
         return OPT_DET1
-    m = re.fullmatch(r"(\d+)m(f?)", name)
+    m = re.fullmatch(r"(\d+)m(f?)", name) if isinstance(name, str) else None
     if not m:
         raise ValueError(f"unknown option name {name!r}")
     return opt_machine(int(m.group(1)), bool(m.group(2)))
@@ -85,8 +85,8 @@ class WiringStrategy:
     bob: tuple
 
     def __post_init__(self):
-        alice = tuple(int(c) for c in self.alice)
-        bob = tuple(int(c) for c in self.bob)
+        alice = tuple(as_integer(c, "choice code") for c in self.alice)
+        bob = tuple(as_integer(c, "choice code") for c in self.bob)
         if len(alice) != len(bob):
             raise ValueError("both parties choose for the same number of settings")
         limit = alphabet_size(self.machine)
@@ -115,8 +115,11 @@ def strategy_to_json_dict(s: WiringStrategy) -> dict:
 
 
 def strategy_from_json_dict(doc: dict) -> WiringStrategy:
+    """Parse a strategy document; a malformed one raises ValueError."""
     from .machines import machine_from_json_dict
 
+    if not isinstance(doc, dict) or not all(isinstance(doc[k], list) for k in ("alice", "bob")):
+        raise ValueError('a strategy document is a JSON object with "alice" and "bob" lists')
     machine = None if doc["machine"] is None else machine_from_json_dict(doc["machine"])
     return WiringStrategy(
         machine,

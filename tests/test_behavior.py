@@ -10,14 +10,16 @@ from bellbox.behavior import (
     cell_probabilities,
     compress_full,
     convex_combine,
+    from_half_units,
     from_json_dict,
     reconstruct_full,
+    to_half_units,
     to_json_dict,
     validate,
 )
 from bellbox.functionals import make_inn22
 from bellbox.machines import machine_behavior, pr_box, pr_machine
-from bellbox.strategies import deterministic_point
+from bellbox.strategies import deterministic_point, one_machine_half_matrix
 
 HALF = Fraction(1, 2)
 
@@ -215,3 +217,29 @@ def test_float_validation_uses_slack():
     )
     assert validate(p) == []
     assert validate(p, slack=0) != []
+
+
+def test_half_units_roundtrip_on_the_one_box_table():
+    # the conversion is a function of the row, so each distinct row of the
+    # 262,144 stands for all its copies
+    scenario = Scenario(3)
+    rows = sorted(set(map(tuple, one_machine_half_matrix(3, pr_machine(3)).tolist())))
+    assert len(rows) == 3280
+    for row in rows:
+        point = from_half_units(scenario, row)
+        assert to_half_units(point) == row
+        assert point.coords() == tuple(Fraction(h, 2) for h in row)
+        assert all(type(v) is Fraction for v in point.coords())
+
+
+def test_half_units_off_the_table_and_off_the_grid():
+    scenario = Scenario(2)
+    halves = (-1, 3, 0, 1, 2, -1, 3, 4)
+    point = from_half_units(scenario, halves)
+    assert point.coords() == tuple(Fraction(h, 2) for h in halves)
+    assert to_half_units(point) == halves
+    with pytest.raises(ValueError):
+        to_half_units(BehaviorPoint(Scenario(2), (0.5, 0.5), (0.5, 0.5), ((0.5, 0.0), (0.0, 0.5))))
+    third = BehaviorPoint(Scenario(2), (HALF, HALF), (HALF, Fraction(1, 3)), ((HALF, 0), (0, 0)))
+    with pytest.raises(ValueError):
+        to_half_units(third)

@@ -259,6 +259,18 @@ def test_first_setting_flips_diagonalize_the_three_input_box():
     )
 
 
+def test_non_integral_relabelings_are_rejected_not_truncated():
+    # int() read (0, 1.7) as the permutation (0, 1) and the flip 0.5 as 1
+    with pytest.raises(ValueError):
+        SymmetryElement((0, 1.7), (0, 1), (0, 0), (0, 0))
+    with pytest.raises(ValueError):
+        SymmetryElement((0, 1), (0, 1), (0.5, 0), (0, 0))
+    with pytest.raises(ValueError):
+        SymmetryElement((0, 1), (0, 1), (0, 0), (2, 0))
+    g = SymmetryElement((1.0, 0), (0, 1), (1, 0), (0, 0))
+    assert g.alice_perm == (1, 0) and all(type(v) is int for v in g.alice_perm)
+
+
 def test_party_swap_keeps_chsh_value_on_the_box():
     swap = SymmetryElement((0, 1), (0, 1), (0, 0), (0, 0), True)
     swapped = transform(make_chsh(2), swap)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -5,7 +7,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bellbox.behavior import BehaviorPoint, Scenario, convex_combine, to_half_units, validate
+from bellbox import polytope
+from bellbox.behavior import (
+    BehaviorPoint,
+    Scenario,
+    cell_probabilities,
+    convex_combine,
+    to_half_units,
+    to_json_dict,
+    validate,
+)
 from bellbox.functionals import BellFunctional, make_c1, make_c2, make_chsh, make_inn22, make_mnn22
 from bellbox.machines import machine_behavior, pr_box, pr_machine
 from bellbox.polytope import (
@@ -18,6 +29,7 @@ from bellbox.polytope import (
     enumerate_nonlocal_vertices,
     enumerate_ns_vertices_n3,
     exact_affine_rank,
+    lemma1_identities,
     membership_by_facets,
     verify_facet,
     violation_census,
@@ -327,6 +339,77 @@ def test_lemma_report_is_reproducible():
     r1 = check_lemma1(3, samples=200, seed=11)
     r2 = check_lemma1(3, samples=200, seed=11)
     assert r1 == r2
+
+
+def _negated(f):
+    return BellFunctional(
+        f.scenario,
+        tuple(-x for x in f.alice),
+        tuple(-x for x in f.bob),
+        tuple(tuple(-x for x in row) for row in f.joint),
+        -f.constant,
+    )
+
+
+# sha256 of the sampled points' JSON, recorded with the vector-dot sampler
+# that drew each vertex as a half-unit row
+LEMMA_DRAW_DIGESTS = {
+    (3, 0): "13741755ef571950cb19e96833f5c5744b1c14dd69257b9b8c90d9efa9158cdc",
+    (3, 7): "33f948fb3b3122894a4c3666d875798e06730f51feaf6b84804eabef8ce5f229",
+    (4, 0): "d4fe5bba617780d85427e5a327cdd06101b2b7f24b8dfc394176087820ddf25c",
+    (4, 7): "61543561bae6e539e225260b925398ffa3a5b9676dc9e929e5fadff85a5fee97",
+    (5, 0): "e817c659818cb47429bd6441ac7cd14ab628ae93e1b409668f9f759869d21085",
+    (5, 7): "88e41d9696c043b927cab79e0de262395e098e9ec016693a437fad64bf9c6810",
+}
+
+
+@pytest.mark.parametrize("n, seed", sorted(LEMMA_DRAW_DIGESTS))
+def test_lemma_sampler_draws_are_pinned(monkeypatch, n, seed):
+    # with C1 negated every sample is a counterexample, so the report holds
+    # every sampled point and any change to the draws shows in its digest
+    monkeypatch.setattr(polytope, "make_c1", lambda k: _negated(make_c1(k)))
+    report = check_lemma1(n, samples=300, seed=seed, raise_on_counterexample=False)
+    assert report.checked == len(report.counterexamples) == 300
+    doc = json.dumps([to_json_dict(p) for p in report.counterexamples], sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == LEMMA_DRAW_DIGESTS[n, seed]
+    m, negated_c1 = make_mnn22(n), _negated(make_c1(n))
+    for point in report.counterexamples:
+        assert m.evaluate(point) > 0
+        assert negated_c1.evaluate(point) <= 0
+
+
+# (alice, bob, joint, constant) coefficients of P(r_A r_B | A_i, B_j), as in cell_probabilities
+CELL_TERMS = {(0, 0): (0, 0, 1, 0), (0, 1): (1, 0, -1, 0), (1, 0): (0, 1, -1, 0), (1, 1): (-1, -1, 1, 1)}
+
+
+def _cell_vector(n: int, cells) -> list:
+    """Integer coefficient vector (coords, then constant) of a sum of cell probabilities."""
+    vec = [0] * (n * (n + 2) + 1)
+    for i, j, ra, rb in cells:
+        for k, c in zip((i, n + j, 2 * n + i * n + j, -1), CELL_TERMS[ra, rb]):
+            vec[k] += c
+    return vec
+
+
+def test_lemma1_identities_hold_coefficient_by_coefficient():
+    for n in range(3, 13):
+        m = make_mnn22(n).coefficient_vector()
+        cells1, cells2 = lemma1_identities(n)
+        assert len(cells1) == len(cells2) == n + 1
+        for relaxation, cells in ((make_c1(n), cells1), (make_c2(n), cells2)):
+            assert all(0 <= i < n and 0 <= j < n for i, j, _, _ in cells)
+            diff = [x - y for x, y in zip(relaxation.coefficient_vector(), m)]
+            assert diff == _cell_vector(n, cells)
+            if n <= 5:
+                rng = random.Random(n)
+                corner = deterministic_point(
+                    Scenario(n), [rng.randrange(2) for _ in range(n)], [rng.randrange(2) for _ in range(n)]
+                )
+                point = convex_combine([machine_behavior(pr_machine(n)), corner], [Fraction(2, 3), Fraction(1, 3)])
+                cell_sum = sum(cell_probabilities(point, i, j)[2 * ra + rb] for i, j, ra, rb in cells)
+                assert relaxation.evaluate(point) - make_mnn22(n).evaluate(point) == cell_sum
+    with pytest.raises(ValueError):
+        lemma1_identities(2)
 
 
 def test_box_point_beats_all_three_bounds():

@@ -184,6 +184,20 @@ def test_strategy_rejects_out_of_range_codes():
         WiringStrategy(pr_box(), (0, 6), (0, 0))
 
 
+def test_non_integral_codes_and_malformed_documents_are_rejected():
+    # int() read 2.9 as option 2, a machine option
+    with pytest.raises(ValueError):
+        WiringStrategy(pr_box(), (2.9, 0), (0, 1))
+    doc = strategy_to_json_dict(WiringStrategy(pr_box(), (2, 0), (0, 1)))
+    for key, bad in (("alice", 5), ("bob", "0d"), ("alice", [2, "0d"])):
+        with pytest.raises(ValueError):
+            strategy_from_json_dict({**doc, key: bad})
+    with pytest.raises(ValueError):
+        strategy_from_json_dict({"machine": None, "alice": 5, "bob": ["0d"]})
+    with pytest.raises(ValueError):
+        strategy_from_json_dict([doc])
+
+
 def test_enumerate_local_counts():
     assert len(enumerate_local(Scenario(2))) == 16
     points3 = enumerate_local(Scenario(3))
