@@ -154,7 +154,7 @@ def _cmd_machine(args) -> int:
     if args.action == "recipe":
         machine = machines.recipe(_load_functional(args))
     elif args.action == "wire":
-        if args.prn:
+        if args.prn is not None:
             wiring = machines.make_prn_wiring(args.prn)
         elif args.wiring:
             wiring = machines.wiring_from_json_dict(_load_json(args.wiring))
@@ -245,7 +245,7 @@ def _cmd_verify_facet(args) -> int:
         "truncated": cert.truncated,
         "accepted": cert.accepted,
     }
-    if not cert.accepted and isinstance(cert.witness, strategies.WiringStrategy):
+    if cert.max_value > 0 and isinstance(cert.witness, strategies.WiringStrategy):
         doc["witness"] = strategies.strategy_to_json_dict(cert.witness)
     _emit(_dump(doc), args.output)
     return 0 if cert.accepted else 2
@@ -372,7 +372,8 @@ def build_parser() -> _Parser:
     p.add_argument("--ineq", help="inequality token, e.g. M3322")
     p.add_argument("--functional", help="functional JSON path")
     p.add_argument("--class", dest="strategy_class", required=True)
-    p.add_argument("--max-strategies", type=int, default=500_000)
+    p.add_argument("--max-strategies", type=int, default=500_000,
+                   help="distinct saturating behaviors examined for the rank, at most")
     add_output(p)
     p.set_defaults(func=_cmd_verify_facet)
 

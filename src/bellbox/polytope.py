@@ -147,11 +147,11 @@ class FacetCertificate:
         )
 
 
-def _distinct_attaining_rows(state: DecoupledMax, limit: int):
-    """Distinct half-unit rows of the first `limit` maximizers, first occurrence first."""
+def _distinct_rows(machine: MachineSpec | None, batches):
+    """Distinct half-unit rows of (alice, bob) code batches, first occurrence first."""
     seen = set()
-    for alice, bob in state.attaining(limit):
-        rows = half_rows(state.machine, alice, bob)
+    for alice, bob in batches:
+        rows = half_rows(machine, alice, bob)
         fresh = []
         # one bytes key per row; np.unique(axis=0) sorts void rows and is ~30x slower
         for i, key in enumerate(rows.view(np.dtype((np.void, rows.shape[1]))).ravel().tolist()):
@@ -161,8 +161,6 @@ def _distinct_attaining_rows(state: DecoupledMax, limit: int):
         yield from rows[fresh].tolist()
 
 
-# at most this many Alice choice vectors: the whole saturating set is streamed
-EXHAUST_VECTORS = 4096
 # at most this many saturating behaviors are kept on a certificate
 SATURATING_POINTS_CAP = 4096
 
@@ -177,12 +175,14 @@ def verify_facet(
 
     `strategy_class` is the string "local" or a `MachineSpec` for the
     one-machine class; the local witness is a `BehaviorPoint`, a box one a
-    `WiringStrategy`.  The maximum is exact.  Only when it is 0 are the first
-    `max_strategies` maximizers streamed from the option table, deduplicated,
-    and the affine rank of their behaviors computed by integer elimination.
-    With more than `EXHAUST_VECTORS` Alice choice vectors the stream stops
-    once the rank target N(N+2)-1 is reached; the certificate keeps the
-    first `SATURATING_POINTS_CAP` behaviors.
+    `WiringStrategy`.  The maximum and the numbers of saturating and of
+    deterministic saturating strategies are exact.  When the maximum is 0,
+    the affine rank is that of the distinct behaviors of `DecoupledMax.star`
+    (first `SATURATING_POINTS_CAP` kept), which span the saturating set's
+    affine hull.  It stops at the highest rank that set can have: N(N+2)-1
+    when `f` has a nonzero coefficient (the set lies in f = 0), else N(N+2).
+    At most `max_strategies` distinct behaviors are examined; `truncated`
+    says that more were left while the rank was below that ceiling.
     """
     machine = None if strategy_class == "local" else strategy_class
     if machine is not None and not isinstance(machine, MachineSpec):
@@ -190,20 +190,24 @@ def verify_facet(
     if max_strategies < 1:
         raise ValueError(f"max_strategies must be at least 1, got {max_strategies}")
     state = DecoupledMax(f, machine)
-    stop_rank = None if state.a**state.n <= EXHAUST_VECTORS else f.scenario.dimension - 1
-    n_saturating = n_det = 0
+    d = f.scenario.dimension
+    ceiling = d - 1 if any(f.coefficient_vector()[:-1]) else d
     kept = []
     basis = IntRowBasis()
+    truncated = False
     if state.max2 == 0:
-        for n_saturating, vec in enumerate(_distinct_attaining_rows(state, max_strategies), 1):
-            if n_saturating == 1:
+        rows = _distinct_rows(machine, state.star())
+        for examined, vec in enumerate(rows, 1):
+            if examined == 1:
                 base = vec
             else:
                 basis.add([x - y for x, y in zip(vec, base)])
-            n_det += all(v in (0, 2) for v in vec)
             if len(kept) < SATURATING_POINTS_CAP:
                 kept.append(vec)
-            if basis.rank == stop_rank:
+            if basis.rank == ceiling:
+                break
+            if examined == max_strategies:
+                truncated = next(rows, None) is not None
                 break
     witness = state.witness()
     return FacetCertificate(
@@ -213,10 +217,10 @@ def verify_facet(
         max_value=state.value,
         witness=strategy_behavior(witness) if machine is None else witness,
         affine_rank=basis.rank,
-        n_saturating=n_saturating,
-        n_deterministic=n_det,
+        n_saturating=state.n_attaining if state.max2 == 0 else 0,
+        n_deterministic=state.n_deterministic if state.max2 == 0 else 0,
         saturating_points=tuple(from_half_units(f.scenario, v) for v in kept),
-        truncated=basis.rank == stop_rank or (state.max2 == 0 and state.n_attaining > max_strategies),
+        truncated=truncated,
     )
 
 
@@ -474,6 +478,8 @@ def check_lemma1(
     """
     if n < 3:
         raise ValueError("the lemma concerns three or more settings")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     rng = random.Random(seed)
     den = 4096
     functionals = (make_mnn22(n), make_c1(n), make_c2(n))

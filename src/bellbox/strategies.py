@@ -37,8 +37,8 @@ from .machines import MachineSpec
 
 DEFAULT_SETTING_CAP = 6
 
-# the decoupled maximizer refuses more Alice choice vectors than this
-VECTOR_CAP = 2_000_000
+# Alice choice vectors are walked in blocks of at most this many
+CHUNK_VECTORS = 4096
 
 OPT_DET0 = 0
 OPT_DET1 = 1
@@ -244,70 +244,91 @@ def enumerate_one_machine(scenario: Scenario, machine: MachineSpec, cap: int | N
 # Exact decoupled maximization
 
 
-class DecoupledMax:
-    """Numpy workspace for the Alice-outer / Bob-per-setting-inner maximization.
+def _chunks(f: BellFunctional, machine: MachineSpec | None) -> Iterator[tuple]:
+    """Blocks of at most `CHUNK_VECTORS` Alice choice vectors that fix the leading settings.
 
-    `machine=None` searches the local deterministic class.  All entries are
-    gathered from `option_table(machine)`; values are doubled integers.
+    Yields `(avec, alice_part, term)` in lexicographic order: the doubled
+    value of Alice's marginals plus the constant, and `term[s, j, c]`, that
+    of Bob's setting j (his marginal and joint column j) under option c.
+    The trailing settings' share is the same in every block, so it is
+    computed once.
+    """
+    n = f.scenario.n_settings
+    a = alphabet_size(machine)
+    marginal, joint = option_table(machine)
+    acoef = np.asarray(f.alice, dtype=np.int64)
+    ccoef = np.asarray(f.joint, dtype=np.int64)
+
+    def parts(vectors, settings):  # the share of Alice's `settings` playing `vectors`
+        return marginal[vectors] @ acoef[settings], np.einsum("sia,ij->sja", joint[vectors], ccoef[settings])
+
+    free = max(k for k in range(n + 1) if a**k <= CHUNK_VECTORS)
+    tails = _code_vectors(free, a)
+    tail_alice, tail_term = parts(tails, slice(n - free, n))
+    tail_alice += 2 * f.constant
+    tail_term += np.asarray(f.bob, dtype=np.int64)[:, None] * marginal[None, :]
+    for head in itertools.product(range(a), repeat=n - free):
+        head = np.array([head], dtype=np.int64)
+        head_alice, head_term = parts(head, slice(0, n - free))
+        avec = np.hstack([head.repeat(len(tails), axis=0), tails])
+        yield avec, tail_alice + head_alice, tail_term + head_term
+
+
+class DecoupledMax:
+    """Exact maximum by the Alice-outer / Bob-per-setting-inner decoupling.
+
+    `machine=None` searches the local deterministic class; values are doubled
+    integers.  One pass over `_chunks` keeps the attaining Alice vectors and
+    their (n, a) masks of Bob's optimal options per setting: a maximizer must
+    be optimal in every Bob setting, so the masks describe every maximizer.
     """
 
     def __init__(self, f: BellFunctional, machine: MachineSpec | None):
-        n = f.scenario.n_settings
-        a = alphabet_size(machine)
-        if a**n > VECTOR_CAP:
-            raise CapExceededError(
-                f"{a}^{n} Alice choice vectors exceed the optimizer cap {VECTOR_CAP}"
-            )
         self.machine = machine
-        self.n = n
-        self.a = a
-        marginal, joint = option_table(machine)
-        avec = _code_vectors(n, a)
-        acoef = np.asarray(f.alice, dtype=np.int64)
-        bcoef = np.asarray(f.bob, dtype=np.int64)
-        ccoef = np.asarray(f.joint, dtype=np.int64)
-        self.alice_part = marginal[avec] @ acoef + 2 * f.constant
-        # term[s, j, c]: doubled value of Bob's setting j playing option c
-        term = np.einsum("sia,ij->sja", joint[avec], ccoef)
-        term += (bcoef[:, None] * marginal[None, :])[None, :, :]
-        self.avec = avec
-        self.term = term
-        self.best = term.max(axis=2)
-        self.total = self.alice_part + self.best.sum(axis=1)
-        self.max2 = int(self.total.max())
+        self.n = f.scenario.n_settings
+        self.a = alphabet_size(machine)
+        self.max2 = None
+        kept = []
+        for avec, alice_part, term in _chunks(f, machine):
+            best = term.max(axis=2)
+            total = alice_part + best.sum(axis=1)
+            top = int(total.max())
+            if self.max2 is None or top > self.max2:
+                self.max2, kept = top, []
+            if top == self.max2:
+                sel = total == top
+                kept.append((avec[sel], term[sel] == best[sel][:, :, None]))
+        self.avec = np.concatenate([avec for avec, _ in kept])
+        self.optimal = np.concatenate([optimal for _, optimal in kept])
 
     @property
     def value(self) -> Fraction:
         return Fraction(self.max2, 2)
 
-    @functools.cached_property
-    def _attaining(self) -> tuple:
-        """Per attaining Alice vector: Bob's optimal options per setting and stream offsets.
-
-        Complete only for the maximum itself: a maximizer must be optimal in
-        every Bob column, so the per-column argmax product covers them all.
-        """
-        sel = np.flatnonzero(self.total == self.max2)
-        optimal = self.term[sel] == self.best[sel][:, :, None]
-        sizes = optimal.sum(axis=2)
-        # optimal options first, each column's in increasing code order
-        options = np.argsort(~optimal, axis=2, kind="stable").astype(np.int8)
-        counts = sizes.prod(axis=1)
-        ends = np.cumsum(counts)
-        return sel, sizes, options, ends - counts, ends
-
     @property
     def n_attaining(self) -> int:
         """Number of strategies attaining the maximum."""
-        return int(self._attaining[4][-1])
+        return int(self.optimal.sum(axis=2).prod(axis=1).sum())
+
+    @property
+    def n_deterministic(self) -> int:
+        """Number of attaining strategies in which neither party uses the box."""
+        det = (self.avec < 2).all(axis=1)
+        return int(self.optimal[det, :, :2].sum(axis=2).prod(axis=1).sum())
 
     def attaining(self, limit: int) -> Iterator[tuple]:
         """The first `limit` maximizers in lexicographic order, as (alice, bob) code batches.
 
         Each batch holds up to `STREAM_BATCH` strategies as two (batch, n) arrays.
         """
-        sel, sizes, options, starts, ends = self._attaining
+        sizes = self.optimal.sum(axis=2)
+        counts = sizes.prod(axis=1)
+        ends = np.cumsum(counts)
+        starts = ends - counts
         stop = min(limit, int(ends[-1]))
+        used = int(np.searchsorted(ends, stop - 1, side="right")) + 1
+        # optimal options first, each setting's in increasing code order
+        options = np.argsort(~self.optimal[:used], axis=2, kind="stable").astype(np.int8)
         for lo in range(0, stop, STREAM_BATCH):
             g = np.arange(lo, min(lo + STREAM_BATCH, stop))
             k = np.searchsorted(ends, g, side="right")
@@ -316,12 +337,31 @@ class DecoupledMax:
             for j in range(self.n - 1, -1, -1):
                 rest, pos = np.divmod(rest, sizes[k, j])
                 bob[:, j] = options[k, j, pos]
-            yield self.avec[sel[k]], bob
+            yield self.avec[k], bob
+
+    def star(self) -> Iterator[tuple]:
+        """Maximizers spanning the affine hull of all of them, as (alice, bob) code batches.
+
+        Per batch of attaining Alice vectors: Bob's first optimal option per
+        setting, then each change of one setting to another optimal option.
+        A behavior is Alice's marginals plus one block per Bob setting that
+        depends only on her vector and his option there, so one vector's
+        maximizers form a product, spanned by a base choice and those changes.
+        """
+        base = self.optimal.argmax(axis=2)
+        moves = self.optimal & (np.arange(self.a) != base[:, :, None])
+        step = max(1, STREAM_BATCH // (self.n * self.a))
+        for lo in range(0, len(base), step):
+            yield self.avec[lo : lo + step], base[lo : lo + step]
+            s, j, c = np.nonzero(moves[lo : lo + step])
+            bob = base[lo + s]
+            bob[np.arange(len(s)), j] = c
+            yield self.avec[lo + s], bob
 
     def witness(self) -> WiringStrategy:
         """The lexicographically first strategy attaining the maximum."""
-        alice, bob = next(self.attaining(1))
-        return WiringStrategy(self.machine, tuple(alice[0].tolist()), tuple(bob[0].tolist()))
+        bob = self.optimal[0].argmax(axis=1)
+        return WiringStrategy(self.machine, tuple(self.avec[0].tolist()), tuple(bob.tolist()))
 
 
 @dataclass(frozen=True)
@@ -377,29 +417,25 @@ def max_min_over_one_machine(f: BellFunctional, g: BellFunctional, machine: Mach
     """
     if f.scenario != g.scenario:
         raise ValueError("functionals live in different scenarios")
-    sf = DecoupledMax(f, machine)
-    sg = DecoupledMax(g, machine)
-    n, a = sf.n, sf.a
-    bound, attained = [], []
-    buffer = np.empty((STREAM_BATCH, n, a), dtype=np.int64)
-    for lo in range(0, sf.avec.shape[0], STREAM_BATCH):
-        rows = slice(lo, lo + STREAM_BATCH)
-        tf = sf.term[rows]
-        both = np.add(tf, sg.term[rows], out=buffer[: len(tf)])
+    best2 = None
+    candidates = []
+    for (_, part_f, tf), (_, part_g, tg) in zip(_chunks(f, machine), _chunks(g, machine)):
+        both = tf + tg
         play = both.argmax(axis=2)[..., None]
-        f_part = sf.alice_part[rows] + np.take_along_axis(tf, play, 2).sum(axis=(1, 2))
-        both_part = sf.alice_part[rows] + sg.alice_part[rows] + both.max(axis=2).sum(axis=1)
-        bound.append(both_part // 2)
-        attained.append(np.minimum(f_part, both_part - f_part))
-    best2 = int(np.concatenate(attained).max())
-    for s in np.flatnonzero(np.concatenate(bound) > best2).tolist():
+        f_part = part_f + np.take_along_axis(tf, play, 2).sum(axis=(1, 2))
+        both_part = part_f + part_g + both.max(axis=2).sum(axis=1)
+        top = int(np.minimum(f_part, both_part - f_part).max())
+        best2 = top if best2 is None else max(best2, top)
+        bound = both_part // 2
+        loose = np.flatnonzero(bound > best2)
+        candidates += zip(*(x[loose].tolist() for x in (bound, part_f, part_g, tf, tg)))
+    for bound, base_f, base_g, tf, tg in candidates:
+        if bound <= best2:
+            continue
         frontier = [(0, 0)]
-        for j in range(n):
-            tf = sf.term[s, j]
-            tg = sg.term[s, j]
+        for options_f, options_g in zip(tf, tg):
             frontier = _pareto_prune(
-                [(u + int(tf[c]), v + int(tg[c])) for u, v in frontier for c in range(a)]
+                [(u + x, v + y) for u, v in frontier for x, y in zip(options_f, options_g)]
             )
-        base_f, base_g = int(sf.alice_part[s]), int(sg.alice_part[s])
         best2 = max(best2, max(min(base_f + u, base_g + v) for u, v in frontier))
     return Fraction(best2, 2)

@@ -150,21 +150,37 @@ def test_criterion_5_wirings():
 def test_criterion_6_machine_resistant_facets():
     crit = Criterion(6, 300.0)
     cert3 = verify_facet(make_mnn22(3), pr_box())
-    one_box_sat = cert3.n_saturating - cert3.n_deterministic
+    # exhaustively, the distinct one-box behaviors on the M3322 facet
+    rows = one_machine_half_matrix(3, pr_box())
+    on_facet = np.unique(rows[doubled_values(rows, [make_mnn22(3)])[:, 0] == 0], axis=0)
+    n_det = int(np.isin(on_facet[:, :6], (0, 2)).all(axis=1).sum())
     ok = (
         cert3.max_value == 0
-        and cert3.n_deterministic >= 8
-        and one_box_sat >= 57
+        and (cert3.n_saturating, cert3.n_deterministic) == (524, 8)
+        and (len(on_facet), n_det) == (65, 8)
         and cert3.affine_rank == 14
     )
     details = [
-        f"n=3: max {cert3.max_value}, {cert3.n_deterministic} det + "
-        f"{one_box_sat} one-box saturators, rank {cert3.affine_rank}"
+        f"n=3: max {cert3.max_value}, {cert3.n_saturating} saturating strategies "
+        f"({cert3.n_deterministic} deterministic) on {len(on_facet)} distinct behaviors "
+        f"({n_det} deterministic), rank {cert3.affine_rank}"
     ]
     for n in (4, 5):
         cert = verify_facet(make_mnn22(n), pr_machine(n - 1))
         ok = ok and cert.max_value == 0 and cert.affine_rank == n * (n + 2) - 1
         details.append(f"n={n}: max {cert.max_value}, rank {cert.affine_rank}")
+    cert6 = verify_facet(make_mnn22(6), pr_machine(5))
+    ok = ok and (
+        cert6.max_value == 0
+        and cert6.affine_rank == 47
+        and (cert6.n_saturating, cert6.n_deterministic) == (16_942_320, 64)
+        and cert6.accepted
+        and not cert6.truncated
+    )
+    details.append(
+        f"n=6: max {cert6.max_value}, rank {cert6.affine_rank}, "
+        f"{cert6.n_saturating} saturating ({cert6.n_deterministic} deterministic)"
+    )
     counts = [len(deterministic_saturators_mnn22(n)) for n in range(3, 7)]
     ok = ok and counts == [2**n for n in range(3, 7)]
     details.append(f"deterministic saturators {counts}")

@@ -60,6 +60,13 @@ def test_machine_wire_builtin(capsys):
     assert json.loads(out) == machine_to_json_dict(pr_machine(4))
 
 
+def test_machine_wire_reads_prn_zero_as_a_count(capsys):
+    code, out, err = run(capsys, "machine", "wire", "--prn", "0")
+    assert_one_line_error(code, err)
+    assert "need at least two inputs" in err
+    assert out == ""
+
+
 def test_machine_check(tmp_path, capsys):
     mpath = tmp_path / "m.json"
     mpath.write_text(json.dumps(machine_to_json_dict(pr_machine(3))))
@@ -113,6 +120,16 @@ def test_verify_facet_rejects_with_exit_two(capsys):
     assert doc["accepted"] is False
     assert doc["max_value"] == "1"
     assert "witness" in doc
+
+
+def test_inconclusive_verify_facet_prints_no_witness(capsys):
+    # a truncated run at maximum 0 has no violating strategy to show
+    code, out, _ = run(capsys, "verify-facet", "--ineq", "M5522", "--class", "box:pr:4",
+                       "--max-strategies", "100")
+    assert code == 2
+    doc = json.loads(out)
+    assert (doc["max_value"], doc["truncated"], doc["accepted"]) == ("0", True, False)
+    assert "witness" not in doc
 
 
 def test_lemma1_runs_clean(capsys):
@@ -214,6 +231,8 @@ def test_machine_rejects_bad_json_with_one_error_line(tmp_path, capsys, action, 
 @pytest.mark.parametrize("argv", [
     ["quantum", "sweep", "--ineq", "CHSH", "--grid", "2", "--threads", "0", "--restarts", "0"],
     ["verify-facet", "--ineq", "M5522", "--class", "box:pr:4", "--max-strategies", "0"],
+    ["lemma1", "--n", "3", "--samples", "0"],
+    ["lemma1", "--n", "3", "--samples", "-5"],
 ])
 def test_counts_below_one_exit_one(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -227,19 +246,21 @@ def test_non_finite_theta_exits_one(capsys):
     assert out == ""
 
 
-# sha256 of the full stdout of each verify-facet run, recorded before the
-# strategy-table layer was unified
+# sha256 of the full stdout of each verify-facet run.  M3322 local and
+# I3322 were recorded before the strategy-table layer was unified; the
+# M4422 and M5522 runs after the counts became exact strategy counts and the
+# rank evidence the star set of the saturating strategies
 VERIFY_FACET_STDOUT = [
     (["--ineq", "M4422", "--class", "box:pr:3"], 0,
-     "e469d90c5871ed693717f1a1d1768cf1cda83d1a8f73a79941451d095271f622"),
+     "11d9eb75ba652b536280a75627ba60179c88bfd1fd2ef751d10694d3fb2d88b3"),
     (["--ineq", "M3322", "--class", "local"], 2,
      "be7036816c843af306ac527c0fbdda04e1e330d336005aee42e3adb2d914095f"),
     (["--ineq", "I3322", "--class", "box:pr:3"], 2,
      "d8cfafaed42ca7eefb0208531174cb0123354a7b80dd7a72e76e9dfdc8fd7b13"),
     (["--ineq", "M5522", "--class", "box:pr:4"], 0,
-     "f2c3403a954506e0434faff4382a2b84c093b232d61f47e5c29136e84a1774ff"),
-    (["--ineq", "M5522", "--class", "box:pr:4", "--max-strategies", "1000"], 2,
-     "cb9177385e2bd76da791a3c6ce598d2a816acb43b56e2fab6ad85f04053cf30a"),
+     "1b3f65c8285af0d016031495f4220e038c1ab265c550b77745e47b2f3c6b06e7"),
+    (["--ineq", "M5522", "--class", "box:pr:4", "--max-strategies", "100"], 2,
+     "f4a1c458d0416ded560ddc2c5c653c53a71a6652df211dad14c5cba4e2ccd732"),
 ]
 
 

@@ -31,6 +31,7 @@ from bellbox.polytope import (
     exact_affine_rank,
     lemma1_identities,
     membership_by_facets,
+    one_machine_half_matrix,
     verify_facet,
     violation_census,
 )
@@ -90,12 +91,21 @@ def test_lifted_chsh_stays_a_local_facet():
     assert cert.accepted and cert.affine_rank == 14
 
 
+def saturating_behaviors_n3():
+    """Distinct one-PR-box behaviors with M3322 = 0, by exhaustive evaluation."""
+    rows = one_machine_half_matrix(3, pr_box())
+    on_facet = rows[doubled_values(rows, [make_mnn22(3)])[:, 0] == 0]
+    return np.unique(on_facet, axis=0)
+
+
 def test_machine_resistant_inequality_is_a_one_box_facet():
     cert = verify_facet(make_mnn22(3), pr_box())
     assert cert.max_value == 0
     assert cert.affine_rank == 14
-    assert cert.n_deterministic >= 8
-    assert cert.n_saturating - cert.n_deterministic >= 57
+    assert (cert.n_saturating, cert.n_deterministic) == (524, 8)
+    distinct = saturating_behaviors_n3()
+    deterministic = np.isin(distinct[:, :6], (0, 2)).all(axis=1)
+    assert (len(distinct), int(deterministic.sum())) == (65, 8)
     assert cert.accepted
     assert not cert.truncated
     for p in cert.saturating_points[:10]:
@@ -144,15 +154,29 @@ def certificate_fields(cert):
     return (cert.n_saturating, cert.n_deterministic, cert.affine_rank, cert.truncated)
 
 
-def test_machine_resistant_certificates_keep_their_stop_points():
-    # the n = 5 stream stops at the rank target, so these counts pin where
-    assert certificate_fields(verify_facet(make_mnn22(3), pr_box())) == (65, 8, 14, False)
-    assert certificate_fields(verify_facet(make_mnn22(4), pr_machine(3))) == (279, 16, 23, False)
-    assert certificate_fields(verify_facet(make_mnn22(5), pr_machine(4))) == (1344, 32, 34, True)
-    capped = verify_facet(make_mnn22(5), pr_machine(4), max_strategies=1000)
-    assert certificate_fields(capped) == (40, 8, 6, True)
-    # the cap counts strategies, not behaviors: the first two differ
-    assert certificate_fields(verify_facet(make_mnn22(3), pr_box(), max_strategies=2)) == (2, 2, 1, True)
+def test_machine_resistant_certificates_are_exact():
+    # exact counts of saturating and deterministic saturating strategies
+    assert certificate_fields(verify_facet(make_mnn22(3), pr_box())) == (524, 8, 14, False)
+    assert certificate_fields(verify_facet(make_mnn22(4), pr_machine(3))) == (10936, 16, 23, False)
+    assert certificate_fields(verify_facet(make_mnn22(5), pr_machine(4))) == (385576, 32, 34, False)
+    # the cap counts distinct behaviors; the star order reaches rank 34 at the 500th
+    reached = verify_facet(make_mnn22(5), pr_machine(4), max_strategies=500)
+    assert certificate_fields(reached) == (385576, 32, 34, False)
+    assert len(reached.saturating_points) == 500
+    capped = verify_facet(make_mnn22(5), pr_machine(4), max_strategies=499)
+    assert certificate_fields(capped) == (385576, 32, 33, True)
+    assert certificate_fields(verify_facet(make_mnn22(3), pr_box(), max_strategies=2)) == (524, 8, 1, True)
+
+
+def test_zero_functional_spans_the_full_dimension():
+    # with no nonzero coefficient the saturating set need not lie in a
+    # hyperplane, so the rank runs past N(N+2)-1 and the certificate fails
+    scenario = Scenario(5)
+    zero = BellFunctional(scenario, (0,) * 5, (0,) * 5, ((0,) * 5,) * 5, 0)
+    cert = verify_facet(zero, pr_machine(4))
+    assert cert.max_value == 0
+    assert (cert.affine_rank, cert.truncated, cert.accepted) == (35, False, False)
+    assert cert.n_saturating == 10**10
 
 
 def test_locally_violated_functional_has_no_saturating_set():
@@ -339,6 +363,12 @@ def test_lemma_report_is_reproducible():
     r1 = check_lemma1(3, samples=200, seed=11)
     r2 = check_lemma1(3, samples=200, seed=11)
     assert r1 == r2
+
+
+def test_lemma_check_of_no_samples_is_refused():
+    for samples in (0, -5):
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            check_lemma1(3, samples=samples)
 
 
 def _negated(f):

@@ -345,6 +345,11 @@ def test_max_min_of_the_paired_relaxations():
     assert make_mnn22(4).evaluate(witness) == 0
 
 
+def test_max_min_of_the_six_setting_relaxations():
+    # 12^6 Alice choice vectors, walked in blocks
+    assert max_min_over_one_machine(make_c1(6), make_c2(6), pr_machine(5)) == HALF
+
+
 def test_max_min_where_the_half_sum_bound_is_not_tight():
     # min(f, g) <= (f + g) / 2 bounds the max-min by 1/2 here, but no
     # strategy reaches it, so the exact frontier search decides the value
