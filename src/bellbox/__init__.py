@@ -38,6 +38,7 @@ from .polytope import (
     deterministic_saturators_mnn22,
     enumerate_ns_vertices_n3,
     membership_by_facets,
+    ns_vertex_rows,
     verify_facet,
     violation_census,
 )

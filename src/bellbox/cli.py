@@ -186,22 +186,19 @@ def _cmd_enum_local(args) -> int:
 
 
 def _cmd_enum_ns(args) -> int:
+    if args.n not in (2, 3, 4):
+        raise ValueError("non-local vertex enumeration is available for n = 2, 3 or 4")
+    if args.classify and args.n == 4:
+        raise ValueError("vertex classes are defined for n = 2 (PR) and n = 3 (S1..S4) only")
+    if args.count:
+        _emit(str(len(polytope.ns_vertex_rows(args.n))), args.output)
+        return 0
     if args.n == 3:
         labeled = polytope.enumerate_ns_vertices_n3()
-    elif args.n == 2:
-        facets = sorted(
-            functionals.orbit(functionals.make_chsh(2)),
-            key=functionals.BellFunctional.table_key,
-        )
-        rows = polytope.enumerate_nonlocal_vertices(2, machines.pr_box(), facets)
-        labeled = [
-            (behavior.from_half_units(behavior.Scenario(2), r), "PR") for r in rows
-        ]
     else:
-        raise ValueError("non-local vertex enumeration is available for n = 2 or 3")
-    if args.count:
-        _emit(str(len(labeled)), args.output)
-        return 0
+        scenario = behavior.Scenario(args.n)
+        rows = polytope.ns_vertex_rows(args.n).tolist()
+        labeled = [(behavior.from_half_units(scenario, r), "PR") for r in rows]
     docs = []
     for point, label in labeled:
         doc = behavior.to_json_dict(point)
@@ -221,7 +218,7 @@ def _cmd_census(args) -> int:
         functionals.orbit(functionals.make_inn22(3)),
         key=functionals.BellFunctional.table_key,
     )
-    labeled = polytope.enumerate_ns_vertices_n3(chsh_orbit + i_orbit)
+    labeled = polytope.enumerate_ns_vertices_n3()
     result = polytope.violation_census(labeled, chsh_orbit, i_orbit)
     if args.format == "json":
         _emit(_dump(result.to_json_dict()), args.output)

@@ -4,16 +4,20 @@ Every behavior here is gathered from the option table of `strategies`, for
 the local class and for one box alike.  A facet certificate bundles the
 exact class maximum, the saturating behaviors, and the affine rank of the
 saturating set; it is accepted exactly when the maximum is 0 and the rank
-is N(N+2)-1.  Vertex-hood of enumerated points rests on the generate /
-deduplicate (by base-3 row keys) / discard-local filter; the known counts
-are the regression oracle, not a from-scratch convex-hull computation.
-The majorization lemma holds by exact cell identities (`lemma1_identities`);
-its seeded sampler mixes PR_n with local vertices, so it evaluates M, C1
-and C2 as the same mixture of values tabulated once per vertex.
+is N(N+2)-1.  The no-signaling vertices follow their definition: a
+half-integral positive point is a vertex when the cells vanishing on it
+have rank N(N+2), which reduces to a parity test on its joint pattern
+(`ns_vertex_rows`); no facet list or strategy table is needed.
+`enumerate_nonlocal_vertices` answers a different question, which rows of
+the dense one-box table violate a facet.  The majorization lemma holds by
+exact cell identities (`lemma1_identities`); its seeded sampler mixes PR_n
+with local vertices, so it evaluates M, C1 and C2 as the same mixture of
+values computed once per vertex, when that vertex is first drawn.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -280,13 +284,84 @@ def nontrivial_facets_n3() -> list:
     )
 
 
+def half_integral_candidates(n: int) -> np.ndarray:
+    """Half-unit rows (int8) of every positive point with entries in {0, 1/2, 1}, lex order.
+
+    The marginals range over {0, 1/2, 1}; a joint entry is forced by
+    positivity (0 beside a zero marginal, the other marginal beside a one)
+    unless both of its marginals are 1/2, when it is 0 or 1/2.  The rows
+    grow one joint column at a time, each split row followed by its twin,
+    so the order stays lexicographic: 136 rows at n = 2, 3,280 at n = 3 and
+    225,568 at n = 4.
+    """
+    if not 2 <= n <= 4:
+        raise ValueError(f"half-integral candidates are generated for 2 to 4 settings, got {n}")
+    marginals = np.array(list(itertools.product(range(3), repeat=2 * n)), dtype=np.int8)
+    rows = np.zeros((len(marginals), n * (n + 2)), dtype=np.int8)
+    rows[:, : 2 * n] = marginals
+    for i in range(n):
+        for j in range(n):
+            a, b = rows[:, i], rows[:, n + j]
+            free = (a == 1) & (b == 1)
+            forced = np.where(a == 2, b, np.where(b == 2, a, 0))
+            counts = 1 + free
+            rows = np.repeat(rows, counts, axis=0)
+            column = np.repeat(forced, counts)
+            column[np.cumsum(counts)[free] - 1] = 1  # a split row's twin takes 1/2
+            rows[:, (i + 2) * n + j] = column
+    return rows
+
+
+def nonlocal_vertex_mask(rows, n: int) -> np.ndarray:
+    """Which half-integral candidates are non-local no-signaling vertices.
+
+    A point is a vertex when the cells that vanish on it have rank n(n+2).
+    A deterministic setting pins its marginal and its joint entries.  Where
+    both marginals are 1/2 the vanishing cells say x_i = y_j (joint 1/2) or
+    x_i = -y_j (joint 0) for the moves x, y of those marginals, and every
+    other joint entry follows the marginals.  So a candidate with a
+    non-deterministic setting is a vertex exactly when the joint-0 pattern
+    on its half block is not u_i xor v_j: some residual
+    z_ij ^ z_i0j ^ z_ij0 ^ z_i0j0 against the first half row i0 and column
+    j0 is 1, which needs two half settings on each side.
+    """
+    rows = np.asarray(rows)
+    half_a, half_b = rows[:, :n] == 1, rows[:, n : 2 * n] == 1
+    zero = rows[:, 2 * n :].reshape(-1, n, n) == 0
+    r = np.arange(len(rows))
+    i0, j0 = half_a.argmax(axis=1), half_b.argmax(axis=1)
+    residual = (
+        zero
+        ^ zero[r, i0][:, None, :]
+        ^ zero[r, :, j0][:, :, None]
+        ^ zero[r, i0, j0][:, None, None]
+    )
+    return (residual & half_a[:, :, None] & half_b[:, None, :]).any(axis=(1, 2))
+
+
+def ns_vertex_rows(n: int) -> np.ndarray:
+    """Half-unit rows (int8) of the non-local no-signaling vertices, lex order.
+
+    Every vertex of the binary-output no-signaling polytope is half-integral
+    (Barrett et al., PRA 71, 022101 (2005)), so the vertices are the
+    `half_integral_candidates` that pass `nonlocal_vertex_mask`: 8 at n = 2,
+    1,344 at n = 3 and 194,432 at n = 4.  No facet list and no strategy
+    table is involved.
+    """
+    rows = half_integral_candidates(n)
+    return rows[nonlocal_vertex_mask(rows, n)]
+
+
 def enumerate_nonlocal_vertices(n: int, machine: MachineSpec, facets) -> list:
     """Distinct one-machine behaviors that violate at least one supplied facet.
 
-    Mirrors the generate / deduplicate / discard-local procedure; with the
-    complete facet list this returns exactly the non-local vertices, in
-    lexicographic row order.  Rows are deduplicated by base-3 int64 keys,
-    built one column at a time; they fit for n <= 5 (3^35 < 2^63).
+    This is one-box reachability, not the vertex definition (that is
+    `ns_vertex_rows`): the dense table of every wiring around `machine`,
+    deduplicated, keeping the rows that violate a facet, in lexicographic
+    row order.  At n = 3 with `pr_machine(3)` and the complete facet list it
+    returns the same 1,344 rows as `ns_vertex_rows(3)`.  Rows are
+    deduplicated by base-3 int64 keys, built one column at a time; they fit
+    for n <= 5 (3^35 < 2^63).
     """
     if n > 5:
         raise ValueError("base-3 row keys overflow int64 beyond five settings")
@@ -336,12 +411,18 @@ def classify_vertex_n3(halves) -> str:
 
 
 def enumerate_ns_vertices_n3(facets=None) -> list:
-    """All 1344 non-local vertices at three settings, as (point, class label)."""
-    if facets is None:
-        facets = nontrivial_facets_n3()
-    rows = enumerate_nonlocal_vertices(3, pr_machine(3), facets)
+    """The 1344 non-local vertices at three settings, as (point, class label).
+
+    They come from `ns_vertex_rows(3)`.  A supplied facet list keeps only
+    the vertices that violate at least one member; every vertex violates
+    one of the complete 648 (`nontrivial_facets_n3`), so that list changes
+    nothing.
+    """
+    rows = ns_vertex_rows(3)
+    if facets is not None:
+        rows = rows[(doubled_values(rows, facets) > 0).any(axis=1)]
     scenario = Scenario(3)
-    return [(from_half_units(scenario, row), classify_vertex_n3(row)) for row in rows]
+    return [(from_half_units(scenario, row), classify_vertex_n3(row)) for row in rows.tolist()]
 
 
 @dataclass(frozen=True)
@@ -441,6 +522,22 @@ def lemma1_identities(n: int) -> tuple:
     return c1, c2
 
 
+def random_bits(rng: random.Random, k: int) -> int:
+    """k bits, big-endian, drawn exactly as k calls of `rng.randrange(2)` draw them.
+
+    CPython's `randrange(2)` takes `getrandbits(2)` and redraws while it
+    exceeds 1; doing the same here skips its three Python frames per bit.
+    """
+    getrandbits = rng.getrandbits
+    out = 0
+    for _ in range(k):
+        bit = getrandbits(2)
+        while bit > 1:
+            bit = getrandbits(2)
+        out = 2 * out + bit
+    return out
+
+
 @dataclass(frozen=True)
 class Lemma1Report:
     n_settings: int
@@ -471,10 +568,11 @@ def check_lemma1(
     toward a second vertex, and asserts that each sampled point with a
     positive value also has strictly positive values on both majorized
     inequalities.  The values are the same mixtures of the doubled values of
-    (M, C1, C2) at PR_n and at each vertex, tabulated once; a point is built
-    only for a counterexample.  Arithmetic is exact (integer numerators over
-    powers of two), and the generator is seeded for reproducibility.  The
-    lemma itself rests on `lemma1_identities`; this is a property check.
+    (M, C1, C2) at PR_n and at each drawn vertex, computed once per vertex;
+    a point is built only for a counterexample.  Arithmetic is exact
+    (integer numerators over powers of two), and the generator is seeded for
+    reproducibility.  The lemma itself rests on `lemma1_identities`; this
+    is a property check.
     """
     if n < 3:
         raise ValueError("the lemma concerns three or more settings")
@@ -485,19 +583,26 @@ def check_lemma1(
     functionals = (make_mnn22(n), make_c1(n), make_c2(n))
     coeffs, _ = functional_matrix(functionals)
     mk, c1k, c2k = (f.constant for f in functionals)
-    # doubled linear parts of (M, C1, C2) at every deterministic vertex, one
-    # row per (u, v) in option-table order: u then v, big-endian
-    vertices = one_machine_half_matrix(n, None)
-    vertex_vals = (vertices.astype(np.int64) @ coeffs.T).tolist()
     pr_halves = to_half_units(machine_behavior(pr_machine(n)))
     pr_vals = (np.asarray(pr_halves, dtype=np.int64) @ coeffs.T).tolist()
     v_pr2 = pr_vals[0] + 2 * mk
     scenario = Scenario(n)
+    bits = np.arange(2 * n - 1, -1, -1)
+
+    def vertex_row(row):
+        """Half-unit coordinates of the deterministic vertex with 2n option bits `row`."""
+        codes = (row >> bits) & 1
+        return half_rows(None, codes[:n], codes[n:])
+
+    # doubled linear parts of (M, C1, C2) per deterministic vertex, computed
+    # when the sampler first draws it; rows number the vertices (u, v) in
+    # option-table order, u then v, big-endian
+    vertex_vals = {}
 
     def vertex():
-        row = 0
-        for _ in range(2 * n):
-            row = 2 * row + rng.randrange(2)
+        row = random_bits(rng, 2 * n)
+        if row not in vertex_vals:
+            vertex_vals[row] = (vertex_row(row).astype(np.int64) @ coeffs.T).tolist()
         return row
 
     def weigh(x, p, y, q):
@@ -526,9 +631,9 @@ def check_lemma1(
             raise RuntimeError("sampler produced a point below the bound")
         checked += 1
         if c1_num <= 0 or c2_num <= 0:
-            mix = weigh(a, pr_halves, den - a, vertices[local].tolist())
+            mix = weigh(a, pr_halves, den - a, vertex_row(local).tolist())
             if bumped:
-                mix = weigh(den - b, mix, b * den, vertices[other].tolist())
+                mix = weigh(den - b, mix, b * den, vertex_row(other).tolist())
             point = BehaviorPoint.from_coords(
                 scenario, [Fraction(x, denom) for x in mix]
             )

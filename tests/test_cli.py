@@ -85,6 +85,19 @@ def test_enum_ns_counts(capsys):
     code, out, _ = run(capsys, "enum-ns", "--n", "2", "--count")
     assert code == 0
     assert out.strip() == "8"
+    code, out, _ = run(capsys, "enum-ns", "--n", "4", "--count")
+    assert code == 0
+    assert out == "194432\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["enum-ns", "--n", "4", "--classify"],
+    ["enum-ns", "--n", "5", "--count"],
+])
+def test_enum_ns_refusals_exit_one(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert_one_line_error(code, err)
+    assert out == ""
 
 
 def test_census_table_and_determinism(capsys):
@@ -138,6 +151,13 @@ def test_lemma1_runs_clean(capsys):
     doc = json.loads(out)
     assert doc["checked"] == 500
     assert doc["counterexamples"] == []
+
+
+def test_lemma1_at_twelve_settings(capsys):
+    code, out, err = run(capsys, "lemma1", "--n", "12", "--samples", "50")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert (doc["n"], doc["checked"], doc["counterexamples"]) == (12, 50, [])
 
 
 def test_quantum_seesaw(capsys):

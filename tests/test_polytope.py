@@ -3,6 +3,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -29,9 +30,14 @@ from bellbox.polytope import (
     enumerate_nonlocal_vertices,
     enumerate_ns_vertices_n3,
     exact_affine_rank,
+    half_integral_candidates,
     lemma1_identities,
     membership_by_facets,
+    nonlocal_vertex_mask,
+    nontrivial_facets_n3,
+    ns_vertex_rows,
     one_machine_half_matrix,
+    random_bits,
     verify_facet,
     violation_census,
 )
@@ -290,6 +296,87 @@ def test_class_one_members_violate_the_three_setting_family_maximally(
     assert (values.max(axis=1) == 2).all()
 
 
+def _tight_cell_rank(halves, n: int) -> int:
+    """Exact rank of the cells P(r_A r_B | A_i, B_j) that vanish at a half-unit point."""
+    basis = IntRowBasis()
+    for i in range(n):
+        for j in range(n):
+            a, b, c = halves[i], halves[n + j], halves[2 * n + i * n + j]
+            for ca, cb, cc, k in CELL_TERMS.values():
+                if ca * a + cb * b + cc * c + 2 * k == 0:
+                    vec = [0] * (n * (n + 2))
+                    vec[i], vec[n + j], vec[2 * n + i * n + j] = ca, cb, cc
+                    basis.add(vec)
+                    if basis.rank == n * (n + 2):
+                        return basis.rank
+    return basis.rank
+
+
+def _agrees_with_the_tight_cell_rank(rows, mask, n: int) -> Counter:
+    kinds = Counter()
+    for row, nonlocal_vertex in zip(rows.tolist(), mask.tolist()):
+        vertex = _tight_cell_rank(row, n) == n * (n + 2)
+        deterministic = 1 not in row[: 2 * n]
+        assert nonlocal_vertex == (vertex and not deterministic), row
+        kinds[vertex, deterministic] += 1
+    return kinds
+
+
+def test_parity_test_is_the_tight_cell_rank():
+    for n, local, nonlocal_count, others in ((2, 16, 8, 112), (3, 64, 1344, 1872)):
+        rows = half_integral_candidates(n)
+        kinds = _agrees_with_the_tight_cell_rank(rows, nonlocal_vertex_mask(rows, n), n)
+        assert kinds == {(True, True): local, (True, False): nonlocal_count, (False, False): others}
+    rows = half_integral_candidates(4)
+    sample = rows[sorted(random.Random(4).sample(range(len(rows)), 3000))]
+    kinds = _agrees_with_the_tight_cell_rank(sample, nonlocal_vertex_mask(sample, 4), 4)
+    assert kinds[True, False] and kinds[False, False]
+
+
+def _count_by_half_settings(n: int, patterns) -> int:
+    """Sum over k_A, k_B half settings of the marginal choices times `patterns(k_A, k_B)`."""
+    return sum(
+        comb(n, ka) * 2 ** (n - ka) * comb(n, kb) * 2 ** (n - kb) * patterns(ka, kb)
+        for ka in range(n + 1)
+        for kb in range(n + 1)
+    )
+
+
+def test_vertex_counts_follow_the_closed_form():
+    # a half block carries 2^(kA kB) joint patterns, 2^(kA+kB-1) of them u_i xor v_j
+    for n, candidates, vertices in ((2, 136, 8), (3, 3280, 1344), (4, 225568, 194432)):
+        rows = half_integral_candidates(n)
+        assert len(rows) == candidates == _count_by_half_settings(n, lambda ka, kb: 2 ** (ka * kb))
+        assert len(ns_vertex_rows(n)) == vertices == _count_by_half_settings(
+            n, lambda ka, kb: (2 ** (ka * kb) - 2 ** (ka + kb - 1)) if min(ka, kb) >= 2 else 0
+        )
+        rows = rows.astype(np.int64)
+        keys = rows @ (3 ** np.arange(rows.shape[1] - 1, -1, -1, dtype=np.int64))
+        assert (np.diff(keys) > 0).all()
+        a, b, c = rows[:, :n, None], rows[:, None, n : 2 * n], rows[:, 2 * n :].reshape(-1, n, n)
+        assert ((c >= 0) & (a - c >= 0) & (b - c >= 0) & (2 - a - b + c >= 0)).all()
+    for n in (1, 5):
+        with pytest.raises(ValueError):
+            ns_vertex_rows(n)
+
+
+def test_vertices_are_the_one_box_rows_that_violate_a_facet():
+    facets = nontrivial_facets_n3()
+    rows = [tuple(r) for r in ns_vertex_rows(3).tolist()]
+    assert rows == enumerate_nonlocal_vertices(3, pr_machine(3), facets)
+    assert enumerate_ns_vertices_n3() == enumerate_ns_vertices_n3(facets)
+    assert len(enumerate_ns_vertices_n3(facets[:72])) < 1344
+
+
+def test_vertex_enumeration_builds_no_strategy_table(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the one-box table was built")
+
+    monkeypatch.setattr(polytope, "one_machine_half_matrix", refuse)
+    labeled = enumerate_ns_vertices_n3()
+    assert Counter(label for _, label in labeled) == {"S1": 192, "S2": 288, "S3": 576, "S4": 288}
+
+
 def test_two_setting_vertex_census(chsh2_orbit):
     rows = enumerate_nonlocal_vertices(2, pr_box(), chsh2_orbit)
     assert len(rows) == 8
@@ -363,6 +450,15 @@ def test_lemma_report_is_reproducible():
     r1 = check_lemma1(3, samples=200, seed=11)
     r2 = check_lemma1(3, samples=200, seed=11)
     assert r1 == r2
+
+
+def test_random_bits_draw_as_randrange_does():
+    for seed in (0, 7, 123):
+        fast, slow = random.Random(seed), random.Random(seed)
+        assert [random_bits(fast, 1) for _ in range(10_000)] == [slow.randrange(2) for _ in range(10_000)]
+        row = random_bits(fast, 24)
+        assert row == int("".join(str(slow.randrange(2)) for _ in range(24)), 2)
+        assert fast.getrandbits(64) == slow.getrandbits(64)
 
 
 def test_lemma_check_of_no_samples_is_refused():
