@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -298,21 +299,33 @@ def test_witness_is_deterministic_and_lexicographically_first():
     assert (r1.witness.alice, r1.witness.bob) == min(attained)
 
 
+def exhaustive_maximizers_m3322():
+    """(alice, bob) of every pr_box strategy with M3322 value 0, from the dense table."""
+    vectors = list(itertools.product(range(alphabet_size(pr_box())), repeat=3))
+    vals2 = doubled_values(one_machine_half_matrix(3, pr_box()), [make_mnn22(3)])[:, 0]
+    assert vals2.max() == 0
+    # the table's rows run Alice-major over lexicographic choice vectors
+    pairs = (divmod(int(i), len(vectors)) for i in np.flatnonzero(vals2 == 0))
+    return [(vectors[a], vectors[b]) for a, b in pairs]
+
+
 def test_saturating_list_hits_the_maximum():
+    expected = exhaustive_maximizers_m3322()
+    assert len(expected) == 524
     result = max_over_one_machine(make_mnn22(3), pr_box())
     assert not result.truncated
-    assert result.saturating
-    rng = random.Random(2)
-    sample = rng.sample(list(result.saturating), 25)
-    f = make_mnn22(3)
-    for s in sample:
-        assert f.evaluate(strategy_behavior(s)) == result.value
+    assert [(s.alice, s.bob) for s in result.saturating] == expected
+    assert (result.witness.alice, result.witness.bob) == expected[0]
 
 
 def test_collect_cap_truncates():
-    result = max_over_one_machine(make_mnn22(3), pr_box(), collect_cap=10)
-    assert result.truncated
-    assert len(result.saturating) == 10
+    expected = exhaustive_maximizers_m3322()
+    for k in (1, 10, 523):
+        result = max_over_one_machine(make_mnn22(3), pr_box(), collect_cap=k)
+        assert result.truncated
+        assert [(s.alice, s.bob) for s in result.saturating] == expected[:k]
+    assert max_over_one_machine(make_mnn22(3), pr_box(), collect_cap=0).saturating == ()
+    assert not max_over_one_machine(make_mnn22(3), pr_box(), collect_cap=524).truncated
 
 
 def test_max_min_of_the_paired_relaxations():
