@@ -404,6 +404,22 @@ def random_element(n: int, rng) -> SymmetryElement:
     return SymmetryElement(tuple(sa), tuple(sb), fa, fb, bool(rng.randrange(2)))
 
 
+def unseen_rows(rows: np.ndarray, seen: set) -> list:
+    """Indices of the rows whose bytes are not yet in `seen`, first occurrences only.
+
+    `seen` gains their keys, one bytes key per row; np.unique(axis=0) sorts
+    void rows and is ~30x slower.
+    """
+    rows = np.ascontiguousarray(rows)
+    keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel().tolist()
+    fresh = []
+    for i, key in enumerate(keys):
+        if key not in seen:
+            seen.add(key)
+            fresh.append(i)
+    return fresh
+
+
 def orbit(f: BellFunctional) -> set:
     """Closure of {f} under the full relabeling group (party swap included).
 
@@ -419,12 +435,7 @@ def orbit(f: BellFunctional) -> set:
     rows = np.asarray([row], dtype=np.int64)
     seen, found = set(), []
     while len(rows):
-        fresh = []
-        for i, key in enumerate(rows.view(np.dtype((np.void, rows[0].nbytes))).ravel().tolist()):
-            if key not in seen:
-                seen.add(key)
-                fresh.append(i)
-        found.append(rows[fresh])
+        found.append(rows[unseen_rows(rows, seen)])
         rows = (found[-1] @ acts).reshape(-1, acts.shape[0])
     return {_from_vector(f.scenario, row) for row in np.concatenate(found).tolist()}
 

@@ -26,7 +26,9 @@ from math import gcd
 import numpy as np
 
 from .behavior import BehaviorPoint, Scenario, from_half_units, to_half_units, validate
-from .functionals import BellFunctional, make_c1, make_c2, make_chsh, make_inn22, make_mnn22, orbit
+from .functionals import (
+    BellFunctional, make_c1, make_c2, make_chsh, make_inn22, make_mnn22, orbit, unseen_rows
+)
 from .machines import MachineSpec, gf2_rank, machine_behavior, pr_machine
 from .strategies import (
     DecoupledMax,
@@ -156,13 +158,7 @@ def _distinct_rows(machine: MachineSpec | None, batches):
     seen = set()
     for alice, bob in batches:
         rows = half_rows(machine, alice, bob)
-        fresh = []
-        # one bytes key per row; np.unique(axis=0) sorts void rows and is ~30x slower
-        for i, key in enumerate(rows.view(np.dtype((np.void, rows.shape[1]))).ravel().tolist()):
-            if key not in seen:
-                seen.add(key)
-                fresh.append(i)
-        yield from rows[fresh].tolist()
+        yield from rows[unseen_rows(rows, seen)].tolist()
 
 
 # at most this many saturating behaviors are kept on a certificate

@@ -316,28 +316,16 @@ class DecoupledMax:
         det = (self.avec < 2).all(axis=1)
         return int(self.optimal[det, :, :2].sum(axis=2).prod(axis=1).sum())
 
-    def attaining(self, limit: int) -> Iterator[tuple]:
-        """The first `limit` maximizers in lexicographic order, as (alice, bob) code batches.
+    def attaining(self) -> Iterator[tuple]:
+        """Every maximizer as (alice, bob) code tuples, in lexicographic order.
 
-        Each batch holds up to `STREAM_BATCH` strategies as two (batch, n) arrays.
+        Per attaining Alice vector, Bob's maximizers are the product of his
+        optimal options per setting.
         """
-        sizes = self.optimal.sum(axis=2)
-        counts = sizes.prod(axis=1)
-        ends = np.cumsum(counts)
-        starts = ends - counts
-        stop = min(limit, int(ends[-1]))
-        used = int(np.searchsorted(ends, stop - 1, side="right")) + 1
-        # optimal options first, each setting's in increasing code order
-        options = np.argsort(~self.optimal[:used], axis=2, kind="stable").astype(np.int8)
-        for lo in range(0, stop, STREAM_BATCH):
-            g = np.arange(lo, min(lo + STREAM_BATCH, stop))
-            k = np.searchsorted(ends, g, side="right")
-            rest = g - starts[k]
-            bob = np.empty((g.size, self.n), dtype=np.int64)
-            for j in range(self.n - 1, -1, -1):
-                rest, pos = np.divmod(rest, sizes[k, j])
-                bob[:, j] = options[k, j, pos]
-            yield self.avec[k], bob
+        for alice, optimal in zip(self.avec, self.optimal):
+            alice = tuple(alice.tolist())
+            for bob in itertools.product(*(np.flatnonzero(o).tolist() for o in optimal)):
+                yield alice, bob
 
     def star(self) -> Iterator[tuple]:
         """Maximizers spanning the affine hull of all of them, as (alice, bob) code batches.
@@ -360,8 +348,7 @@ class DecoupledMax:
 
     def witness(self) -> WiringStrategy:
         """The lexicographically first strategy attaining the maximum."""
-        bob = self.optimal[0].argmax(axis=1)
-        return WiringStrategy(self.machine, tuple(self.avec[0].tolist()), tuple(bob.tolist()))
+        return WiringStrategy(self.machine, *next(self.attaining()))
 
 
 @dataclass(frozen=True)
@@ -383,11 +370,12 @@ def max_over_one_machine(
     strategy attaining the maximum up to `collect_cap` (the `truncated`
     flag says whether the cap was hit).
     """
+    if collect_cap < 0:
+        raise ValueError(f"collect_cap must be at least 0, got {collect_cap}")
     state = DecoupledMax(f, machine)
     saturating = tuple(
-        WiringStrategy(machine, tuple(a), tuple(b))
-        for alice, bob in state.attaining(collect_cap)
-        for a, b in zip(alice.tolist(), bob.tolist())
+        WiringStrategy(machine, alice, bob)
+        for alice, bob in itertools.islice(state.attaining(), collect_cap)
     )
     return OneMachineMaximum(
         state.value, state.witness(), saturating, state.n_attaining > collect_cap
