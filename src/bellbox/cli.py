@@ -9,6 +9,7 @@ scalars print as reduced fractions, floats with nine significant digits.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import re
 import sys
@@ -113,6 +114,16 @@ def _emit(text: str, path):
         print(text)
 
 
+def _emit_list(docs, path):
+    """Write the JSON list `_dump(list(docs))` would, one document at a time."""
+    with open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout) as fh:
+        head = "[\n  "
+        for doc in docs:
+            fh.write(head + _dump(doc).replace("\n", "\n  "))
+            head = ",\n  "
+        fh.write("[]\n" if head == "[\n  " else "\n]\n")
+
+
 def _load_json(path) -> dict:
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
@@ -181,7 +192,7 @@ def _cmd_enum_local(args) -> int:
     if args.count:
         _emit(str(len(points)), args.output)
     else:
-        _emit(_dump([behavior.to_json_dict(p) for p in points]), args.output)
+        _emit_list(map(behavior.to_json_dict, points), args.output)
     return 0
 
 
@@ -197,15 +208,17 @@ def _cmd_enum_ns(args) -> int:
         labeled = polytope.enumerate_ns_vertices_n3()
     else:
         scenario = behavior.Scenario(args.n)
-        rows = polytope.ns_vertex_rows(args.n).tolist()
-        labeled = [(behavior.from_half_units(scenario, r), "PR") for r in rows]
-    docs = []
-    for point, label in labeled:
-        doc = behavior.to_json_dict(point)
-        if args.classify:
-            doc["class"] = label
-        docs.append(doc)
-    _emit(_dump(docs), args.output)
+        rows = polytope.ns_vertex_rows(args.n)
+        labeled = ((behavior.from_half_units(scenario, r.tolist()), "PR") for r in rows)
+
+    def docs():
+        for point, label in labeled:
+            doc = behavior.to_json_dict(point)
+            if args.classify:
+                doc["class"] = label
+            yield doc
+
+    _emit_list(docs(), args.output)
     return 0
 
 
@@ -288,6 +301,7 @@ def _cmd_quantum(args) -> int:
         grid=args.grid,
         restarts=args.restarts,
         seed=args.seed,
+        plane=args.plane,
         threads=args.threads,
     )
     if args.format == "json":

@@ -113,16 +113,16 @@ def local_half_matrix(n: int) -> np.ndarray:
     return one_machine_half_matrix(n, None)
 
 
-def functional_matrix(functionals) -> tuple:
+def functional_matrix(functionals, d: int) -> tuple:
     """Stack coefficient vectors; returns (coeffs (m, d) int64, doubled constants (m,))."""
     rows = [f.coefficient_vector() for f in functionals]
-    arr = np.asarray(rows, dtype=np.int64)
+    arr = np.asarray(rows, dtype=np.int64).reshape(len(rows), d + 1)
     return arr[:, :-1], 2 * arr[:, -1]
 
 
 def doubled_values(half_matrix: np.ndarray, functionals) -> np.ndarray:
     """Evaluate functionals on half-unit behaviors; entry [s, m] is 2 * value."""
-    coeffs, consts2 = functional_matrix(functionals)
+    coeffs, consts2 = functional_matrix(functionals, half_matrix.shape[1])
     return half_matrix.astype(np.int64) @ coeffs.T + consts2[None, :]
 
 
@@ -576,13 +576,13 @@ def check_lemma1(
         raise ValueError(f"samples must be at least 1, got {samples}")
     rng = random.Random(seed)
     den = 4096
+    scenario = Scenario(n)
     functionals = (make_mnn22(n), make_c1(n), make_c2(n))
-    coeffs, _ = functional_matrix(functionals)
+    coeffs, _ = functional_matrix(functionals, scenario.dimension)
     mk, c1k, c2k = (f.constant for f in functionals)
     pr_halves = to_half_units(machine_behavior(pr_machine(n)))
     pr_vals = (np.asarray(pr_halves, dtype=np.int64) @ coeffs.T).tolist()
     v_pr2 = pr_vals[0] + 2 * mk
-    scenario = Scenario(n)
     bits = np.arange(2 * n - 1, -1, -1)
 
     def vertex_row(row):

@@ -7,9 +7,9 @@ import pytest
 
 from bellbox import cli
 from bellbox.behavior import to_json_dict
-from bellbox.functionals import functional_to_json_dict, make_chsh, make_inn22
+from bellbox.functionals import functional_to_json_dict, make_chsh, make_inn22, make_mnn22
 from bellbox.machines import machine_behavior, machine_to_json_dict, pr_box, pr_machine
-from bellbox.quantum import TwoQubitState, quantum_behavior
+from bellbox.quantum import TwoQubitState, quantum_behavior, theta_sweep
 
 
 def run(capsys, *argv):
@@ -186,6 +186,27 @@ def test_quantum_sweep_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "theta,value"
     assert len(lines) == 6
+
+
+def test_quantum_sweep_honours_the_plane(capsys):
+    argv = ["quantum", "sweep", "--ineq", "M3322", "--grid", "4", "--restarts", "2"]
+    _, xz, _ = run(capsys, *argv, "--plane", "xz")
+    _, full, _ = run(capsys, *argv, "--plane", "full")
+    sweep = theta_sweep(make_mnn22(3), grid=4, restarts=2, plane="xz")
+    lines = ["theta,value"] + [f"{format(t, '.9g')},{format(v, '.9g')}" for t, v in sweep.curve()]
+    assert xz == "\n".join(lines) + "\n"
+    assert xz != full
+
+
+@pytest.mark.parametrize("count", [0, 1, 3])
+def test_json_lists_are_written_one_document_at_a_time(tmp_path, capsys, count):
+    docs = [{"n": k, "alice": ["1/2"] * k, "joint": [[k, "0"]] * k} for k in range(count)]
+    expected = json.dumps(docs, indent=2) + "\n"
+    cli._emit_list(iter(docs), None)
+    assert capsys.readouterr().out == expected
+    path = tmp_path / "docs.json"
+    cli._emit_list(iter(docs), str(path))
+    assert path.read_text() == expected
 
 
 def test_usage_errors_exit_one(capsys):

@@ -278,6 +278,15 @@ def test_violation_census_matches_known_table(labeled_vertices, chsh3_orbit, i33
         assert classify_vertex_n3(to_half_units(st.representative)) == label
 
 
+def test_empty_functional_lists_select_nothing(labeled_vertices):
+    assert doubled_values(ns_vertex_rows(3), []).shape == (1344, 0)
+    assert enumerate_ns_vertices_n3([]) == []
+    assert enumerate_nonlocal_vertices(2, pr_box(), []) == []
+    result = violation_census(labeled_vertices, [], [])
+    assert result.total == 1344
+    assert all((st.chsh_violations, st.i3322_violations) == (0, 0) for st in result.classes.values())
+
+
 def test_census_rejects_inconsistent_labels(labeled_vertices, chsh3_orbit, i3322_orbit):
     s1 = next(p for p, label in labeled_vertices if label == "S1")
     s2 = next(p for p, label in labeled_vertices if label == "S2")

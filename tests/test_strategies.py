@@ -328,6 +328,11 @@ def test_collect_cap_truncates():
     assert not max_over_one_machine(make_mnn22(3), pr_box(), collect_cap=524).truncated
 
 
+def test_negative_collect_cap_is_refused():
+    with pytest.raises(ValueError, match="collect_cap"):
+        max_over_one_machine(make_mnn22(3), pr_box(), collect_cap=-5)
+
+
 def test_max_min_of_the_paired_relaxations():
     exhaustive = None
     c1, c2 = make_c1(3), make_c2(3)
