@@ -410,7 +410,6 @@ def unseen_rows(rows: np.ndarray, seen: set) -> list:
     `seen` gains their keys, one bytes key per row; np.unique(axis=0) sorts
     void rows and is ~30x slower.
     """
-    rows = np.ascontiguousarray(rows)
     keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel().tolist()
     fresh = []
     for i, key in enumerate(keys):
