@@ -94,6 +94,16 @@ class BehaviorPoint:
         object.__setattr__(self, "bob", bob)
         object.__setattr__(self, "joint", joint)
 
+    @classmethod
+    def _trusted(cls, scenario: Scenario, alice: tuple, bob: tuple, joint: tuple) -> "BehaviorPoint":
+        """A point from tuples of one scalar type already known to fit the scenario, unchecked."""
+        point = object.__new__(cls)
+        object.__setattr__(point, "scenario", scenario)
+        object.__setattr__(point, "alice", alice)
+        object.__setattr__(point, "bob", bob)
+        object.__setattr__(point, "joint", joint)
+        return point
+
     @property
     def backend(self) -> str:
         return "exact" if isinstance(self.alice[0], Fraction) else "float"
@@ -207,9 +217,17 @@ _HALVES = (Fraction(0), HALF, Fraction(1))
 
 
 def from_half_units(scenario: Scenario, halves: Sequence[int]) -> BehaviorPoint:
-    return BehaviorPoint.from_coords(
-        scenario, [_HALVES[h] if 0 <= h <= 2 else Fraction(h, 2) for h in halves]
-    )
+    """The exact point with coordinates `halves` / 2; only the length is checked.
+
+    Every coordinate is a Fraction by construction, so the point is built
+    without `BehaviorPoint`'s per-coordinate checks.
+    """
+    n = scenario.n_settings
+    if len(halves) != scenario.dimension:
+        raise ValueError("coordinate vector has wrong length")
+    coords = [_HALVES[h] if 0 <= h <= 2 else Fraction(h, 2) for h in halves]
+    joint = tuple(tuple(coords[2 * n + i * n : 2 * n + (i + 1) * n]) for i in range(n))
+    return BehaviorPoint._trusted(scenario, tuple(coords[:n]), tuple(coords[n : 2 * n]), joint)
 
 
 def _encode_scalar(v):

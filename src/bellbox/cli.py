@@ -188,10 +188,12 @@ def _cmd_machine(args) -> int:
 
 
 def _cmd_enum_local(args) -> int:
-    points = strategies.enumerate_local(behavior.Scenario(args.n), cap=args.cap)
+    scenario = behavior.Scenario(args.n)
     if args.count:
-        _emit(str(len(points)), args.output)
+        strategies.check_cap(args.n, args.cap)
+        _emit(str(4**args.n), args.output)
     else:
+        points = strategies.enumerate_local(scenario, cap=args.cap)
         _emit_list(map(behavior.to_json_dict, points), args.output)
     return 0
 

@@ -408,14 +408,21 @@ def unseen_rows(rows: np.ndarray, seen: set) -> list:
     """Indices of the rows whose bytes are not yet in `seen`, first occurrences only.
 
     `seen` gains their keys, one bytes key per row; np.unique(axis=0) sorts
-    void rows and is ~30x slower.
+    void rows and is ~30x slower.  The new keys are found by one set
+    difference, so a block with none costs no Python loop.
     """
     keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel().tolist()
+    new = set(keys).difference(seen)
+    if not new:
+        return []
+    seen |= new
     fresh = []
     for i, key in enumerate(keys):
-        if key not in seen:
-            seen.add(key)
+        if key in new:
+            new.remove(key)
             fresh.append(i)
+            if not new:
+                break
     return fresh
 
 

@@ -4,7 +4,9 @@ Every behavior here is gathered from the option table of `strategies`, for
 the local class and for one box alike.  A facet certificate bundles the
 exact class maximum, the saturating behaviors, and the affine rank of the
 saturating set; it is accepted exactly when the maximum is 0 and the rank
-is N(N+2)-1.  The no-signaling vertices follow their definition: a
+is N(N+2)-1.  The rank is kept as an integer basis of the orthogonal
+complement (`IntRowBasis`), so each block of distinct saturating rows is
+tested with one product.  The no-signaling vertices follow their definition: a
 half-integral positive point is a vertex when the cells vanishing on it
 have rank N(N+2), which reduces to a parity test on its joint pattern
 (`ns_vertex_rows`); no facet list or strategy table is needed.
@@ -18,6 +20,7 @@ values computed once per vertex, when that vertex is first drawn.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,6 +38,7 @@ from .strategies import (
     deterministic_point,
     half_rows,
     one_machine_half_matrix,
+    option_table,
     strategy_behavior,
 )
 
@@ -43,52 +47,105 @@ from .strategies import (
 # Exact linear algebra over the rationals (integer rows, fraction-free)
 
 
-class IntRowBasis:
-    """Incremental row space of integer vectors, reduced by leading entries.
+def _magnitude(a: np.ndarray) -> int:
+    """Largest absolute entry, as a Python int (0 when empty)."""
+    return int(np.abs(a).max()) if a.size else 0
 
-    Rows are stored keyed by the index of their first nonzero entry, with
-    entries gcd-normalized, so membership tests stay in small integers.
+
+def _int_rows(rows) -> tuple:
+    """`(array, largest |entry|)` of integer rows: int64 below 2^62, else Python ints (object)."""
+    out = rows if isinstance(rows, np.ndarray) else np.array(rows)
+    if not len(out):
+        return np.zeros((0, out.shape[-1] if out.ndim == 2 else 0), dtype=np.int64), 0
+    if out.dtype.kind not in "iu" or out.dtype == np.uint64:
+        out = np.array([[operator.index(x) for x in row] for row in rows], dtype=object)
+    out = out.reshape(len(out), -1)
+    size = _magnitude(out)
+    return (out.astype(np.int64, copy=False) if size < 2**62 else out.astype(object)), size
+
+
+class IntRowBasis:
+    """Row space of integer vectors, kept as an integer basis of its orthogonal complement.
+
+    `complement` holds gcd-normalized rows K spanning every vector
+    orthogonal to the rows added so far (the identity before any), so a
+    vector lies in the row space exactly when K v = 0, and the rank is the
+    dimension minus the number of rows of K.  A block of rows is tested
+    with one product; each independent row folds one complement row into
+    the others, and the products of the rest of the block are updated the
+    same way.  Arithmetic is int64 while a bound on every entry it can
+    produce stays below 2^63, and exact Python ints past that.
     """
 
     def __init__(self):
-        self.rows = {}
+        self.complement = None
+        self._scale = 1  # largest |entry| of the complement
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        k = self.complement
+        return 0 if k is None else k.shape[1] - k.shape[0]
 
     def add(self, vector) -> bool:
-        """Reduce against the basis; store and return True if independent."""
-        v = list(vector)
-        while True:
-            pivot = next((k for k, x in enumerate(v) if x), None)
-            if pivot is None:
-                return False
-            if pivot not in self.rows:
-                g = 0
-                for x in v:
-                    g = gcd(g, x)
-                if v[pivot] < 0:
-                    g = -g
-                self.rows[pivot] = [x // g for x in v]
-                return True
-            row = self.rows[pivot]
-            a, b = row[pivot], v[pivot]
-            g = gcd(a, b)
-            fa, fb = a // g, b // g
-            v = [fa * x - fb * y for x, y in zip(v, row)]
+        """Store the vector and return True if it is independent of the basis."""
+        return bool(self.add_rows([vector]))
+
+    def add_rows(self, rows) -> list:
+        """Add rows in order; return the indices of those independent of the rows before them."""
+        rows, size = _int_rows(rows)
+        k = self.complement
+        if k is None:
+            k = np.eye(rows.shape[1], dtype=np.int64)
+        row_scale = size * rows.shape[1]
+
+        def overflows():  # a product, or an entry a fold makes, could leave int64
+            bound = row_scale * self._scale
+            return 2 * bound * max(bound, self._scale) >= 2**63
+
+        if object in (rows.dtype, k.dtype) or overflows():
+            rows, k = rows.astype(object), k.astype(object)
+        # products[i] is zero exactly when row i is in the span
+        products = rows if self.complement is None else rows @ k.T
+        added = []
+        offset = 0
+        live = len(k)
+        while live and len(products):
+            independent = products.any(axis=1)
+            i = int(independent.argmax())
+            if not independent[i]:
+                break
+            r, products = products[i], products[i + 1 :]
+            added.append(offset + i)
+            offset += i + 1
+            live -= 1
+            # fold the row p with the smallest nonzero product into the others,
+            # so that each becomes orthogonal to the new row; row p becomes 0
+            sizes = [abs(x) if x else np.inf for x in r.tolist()]
+            p = sizes.index(min(sizes))
+            k = r[p] * k - np.outer(r, k[p])
+            g = np.gcd.reduce(k, axis=1)
+            np.maximum(g, 1, out=g)
+            k //= g[:, None]
+            if len(products):
+                products = (r[p] * products - np.outer(products[:, p], r)) // g
+            # a fold grows entries by at most 2 max|r|; measure them once that bound nears the limit
+            self._scale *= 2 * max(x for x in sizes if x != np.inf)
+            if k.dtype != object and overflows():
+                self._scale = _magnitude(k)
+                if overflows():
+                    k, products = k.astype(object), products.astype(object)
+        # drop the rows that folds zeroed
+        self.complement = k[k.any(axis=1)] if added else k
+        return added
 
 
 def affine_rank_halves(vectors) -> int:
     """Affine rank of a set of integer coordinate vectors."""
-    it = iter(vectors)
-    try:
-        base = next(it)
-    except StopIteration:
+    rows, _ = _int_rows(list(vectors))
+    if len(rows) < 2:
         return 0
     basis = IntRowBasis()
-    for vec in it:
-        basis.add([x - y for x, y in zip(vec, base)])
+    basis.add_rows(rows[1:] - rows[0])
     return basis.rank
 
 
@@ -153,12 +210,42 @@ class FacetCertificate:
         )
 
 
-def _distinct_rows(machine: MachineSpec | None, batches):
-    """Distinct half-unit rows of (alice, bob) code batches, first occurrence first."""
-    seen = set()
-    for alice, bob in batches:
-        rows = half_rows(machine, alice, bob)
-        yield from rows[unseen_rows(rows, seen)].tolist()
+def _distinct_star_rows(machine: MachineSpec | None, state: DecoupledMax):
+    """Distinct half-unit rows (int8) of `state.star()` in blocks, first occurrences first.
+
+    The stream runs batch by batch: base rows, then move rows.  A move
+    changes Bob's option in one setting j, which rewrites only his marginal
+    j and joint column j, so a move row is fixed by its base row, j and
+    that column (n + 1 entries in {0, 1, 2}, one base-3 code).  A move
+    whose (base row, j, code) was met before repeats a row already met; the
+    others are built as their base row with that column read off the option
+    table, and the block's rows are deduplicated by their bytes in stream
+    order.
+    """
+    marginal, joint = option_table(machine)
+    n = state.n
+    column = 2 * n + n * np.arange(n)
+    digits = 3 ** np.arange(n, dtype=np.int64)
+    seen, base_ids, seen_moves = set(), {}, set()
+    for alice, base, (s, j, c), step in state.star():
+        rows = half_rows(machine, alice, base)
+        keys = rows.view(np.dtype((np.void, rows.shape[1]))).ravel().tolist()
+        ids = np.array([base_ids.setdefault(key, len(base_ids)) for key in keys], dtype=np.int64)
+        # code[v, c]: Bob's column under option c against Alice vector v
+        code = digits @ joint[alice].astype(np.int64) + marginal.astype(np.int64) * 3**n
+        signature = (ids[s] * n + j) * 3 ** (n + 1) + code[s, c]
+        unique, first = np.unique(signature, return_index=True)
+        new = [k for k, sig in enumerate(unique.tolist()) if sig not in seen_moves]
+        seen_moves.update(unique[new].tolist())
+        pick = np.sort(first[new])
+        s, j, c = s[pick], j[pick], c[pick]
+        moved = rows[s]
+        at = np.arange(len(s))
+        moved[at, n + j] = marginal[c]
+        moved[at[:, None], column + j[:, None]] = joint[alice[s], c[:, None]]
+        batch = np.concatenate([np.arange(len(rows)) // step * 2, s // step * 2 + 1])
+        stream = np.concatenate([rows, moved])[np.argsort(batch, kind="stable")]
+        yield stream[unseen_rows(stream, seen)]
 
 
 # at most this many saturating behaviors are kept on a certificate
@@ -196,18 +283,27 @@ def verify_facet(
     basis = IntRowBasis()
     truncated = False
     if state.max2 == 0:
-        rows = _distinct_rows(machine, state.star())
-        for examined, vec in enumerate(rows, 1):
-            if examined == 1:
-                base = vec
-            else:
-                basis.add([x - y for x, y in zip(vec, base)])
-            if len(kept) < SATURATING_POINTS_CAP:
-                kept.append(vec)
+        examined = 0
+        for fresh in _distinct_star_rows(machine, state):
+            if not len(fresh):
+                continue
+            if examined == max_strategies:
+                truncated = True
+                break
+            budget = max_strategies - examined
+            left = len(fresh) > budget
+            fresh = fresh[:budget].astype(np.int64)
+            if not examined:
+                base = fresh[0]
+            added = basis.add_rows(fresh - base)
+            if basis.rank == ceiling:
+                fresh = fresh[: added[-1] + 1]
+            kept += fresh[: SATURATING_POINTS_CAP - len(kept)].tolist()
+            examined += len(fresh)
             if basis.rank == ceiling:
                 break
-            if examined == max_strategies:
-                truncated = next(rows, None) is not None
+            if left:
+                truncated = True
                 break
     witness = state.witness()
     return FacetCertificate(
@@ -464,6 +560,8 @@ def violation_census(classified, chsh_facets, i3322_facets) -> CensusResult:
     type; any intra-class inconsistency signals an enumeration or orbit bug
     and raises.
     """
+    if not classified:
+        return CensusResult(total=0, classes={})
     halves = np.asarray([to_half_units(p) for p, _ in classified], dtype=np.int64)
     labels = [label for _, label in classified]
     chsh_counts = (doubled_values(halves, chsh_facets) > 0).sum(axis=1)

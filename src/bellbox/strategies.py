@@ -15,9 +15,14 @@ each of Bob's settings can be optimized independently.  This turns the
 (2+2K)^(2N) product search into (2+2K)^N * N * (2+2K) evaluations, all in
 integer half-units.  Shared randomness never helps a linear
 objective, so searching pure wirings is exhaustive for the strategy class.
-The max-min of two functionals bounds min(f, g) by (f + g) / 2 per Alice
-vector and runs the exact Pareto sweep only where that bound beats a value
-already attained.
+The search splits Alice's vectors into heads (leading settings) and tails
+and holds each share options-first, `term[c, setting, vector]`, so Bob's
+best option per setting is an elementwise maximum over contiguous slices;
+a head whose upper bound is below a value already attained is skipped.
+The attaining Alice vectors are kept as int8 rows with one bit mask of
+Bob's optimal options per setting.  The max-min of two functionals bounds
+min(f, g) by (f + g) / 2 per Alice vector and runs the exact Pareto sweep
+only where that bound beats a value already attained.
 """
 
 from __future__ import annotations
@@ -95,6 +100,15 @@ class WiringStrategy:
                 raise ValueError(f"choice code {c} outside the option alphabet")
         object.__setattr__(self, "alice", alice)
         object.__setattr__(self, "bob", bob)
+
+    @classmethod
+    def _trusted(cls, machine: MachineSpec | None, alice: tuple, bob: tuple) -> "WiringStrategy":
+        """A strategy from int code tuples already known to be in range, unchecked."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "machine", machine)
+        object.__setattr__(s, "alice", alice)
+        object.__setattr__(s, "bob", bob)
+        return s
 
     @property
     def n_settings(self) -> int:
@@ -211,7 +225,8 @@ def deterministic_point(scenario: Scenario, alice_outputs: Sequence[int], bob_ou
     return BehaviorPoint(scenario, a, b, joint)
 
 
-def _check_cap(n: int, cap: int | None):
+def check_cap(n: int, cap: int | None):
+    """Refuse an enumeration at `n` settings beyond `cap` (default `DEFAULT_SETTING_CAP`)."""
     cap = DEFAULT_SETTING_CAP if cap is None else cap
     if n > cap:
         raise CapExceededError(
@@ -222,7 +237,7 @@ def _check_cap(n: int, cap: int | None):
 def enumerate_local(scenario: Scenario, cap: int | None = None) -> list:
     """All 4^N deterministic behaviors, in output lexicographic order."""
     n = scenario.n_settings
-    _check_cap(n, cap)
+    check_cap(n, cap)
     points = []
     for u in itertools.product((0, 1), repeat=n):
         for v in itertools.product((0, 1), repeat=n):
@@ -233,7 +248,7 @@ def enumerate_local(scenario: Scenario, cap: int | None = None) -> list:
 def enumerate_one_machine(scenario: Scenario, machine: MachineSpec, cap: int | None = None) -> Iterator[WiringStrategy]:
     """All (2+2K)^N x (2+2K)^N wiring strategies, deterministic subset included."""
     n = scenario.n_settings
-    _check_cap(n, cap)
+    check_cap(n, cap)
     codes = range(alphabet_size(machine))
     for alice in itertools.product(codes, repeat=n):
         for bob in itertools.product(codes, repeat=n):
@@ -244,14 +259,36 @@ def enumerate_one_machine(scenario: Scenario, machine: MachineSpec, cap: int | N
 # Exact decoupled maximization
 
 
-def _chunks(f: BellFunctional, machine: MachineSpec | None) -> Iterator[tuple]:
-    """Blocks of at most `CHUNK_VECTORS` Alice choice vectors that fix the leading settings.
+def _search_dtype(*functionals: BellFunctional) -> np.dtype:
+    """The narrowest signed integer dtype that holds every partial sum of the doubled values.
 
-    Yields `(avec, alice_part, term)` in lexicographic order: the doubled
-    value of Alice's marginals plus the constant, and `term[s, j, c]`, that
-    of Bob's setting j (his marginal and joint column j) under option c.
-    The trailing settings' share is the same in every block, so it is
-    computed once.
+    Each half-unit entry lies in [0, 2], so no share of Alice's marginals,
+    Bob's columns or their sum exceeds twice the coefficients' absolute sum
+    (constant included) in magnitude; summed over the functionals, that
+    bounds every term the searches add.
+    """
+    bound = 2 * sum(abs(c) for f in functionals for c in f.coefficient_vector())
+    if bound >= 2**63:
+        raise ValueError("coefficients too large for an exact int64 search")
+    return np.min_scalar_type(-bound - 1)
+
+
+def _split(f: BellFunctional, machine: MachineSpec | None) -> tuple:
+    """Head and tail shares of the doubled value of `f`, options first.
+
+    Alice's choice vector splits into leading (head) settings and as many
+    trailing (tail) settings as keep the tails within `CHUNK_VECTORS`.
+    Returns `(heads, tails, head_alice, tail_alice, head_term, tail_term)`:
+    the head and tail choice vectors (int8, lexicographic), the doubled
+    value of their Alice marginals (the tail's with the constant), and
+    `*_term[c, j, v]`, the doubled value of Bob's setting j under option c
+    from those Alice settings' joint column j (the tail's with Bob's
+    marginal).  The value of Alice vector (head h, tail t) against Bob's
+    choices b is `head_alice[h] + tail_alice[t]` plus, summed over j,
+    `head_term[b_j, j, h] + tail_term[b_j, j, t]`, so Bob's best option
+    per setting is an elementwise maximum over the
+    contiguous (settings, tails) slices of the options axis, and a head's
+    terms add to the tails' as one scalar per contiguous row.  All int64.
     """
     n = f.scenario.n_settings
     a = alphabet_size(machine)
@@ -260,44 +297,81 @@ def _chunks(f: BellFunctional, machine: MachineSpec | None) -> Iterator[tuple]:
     ccoef = np.asarray(f.joint, dtype=np.int64)
 
     def parts(vectors, settings):  # the share of Alice's `settings` playing `vectors`
-        return marginal[vectors] @ acoef[settings], np.einsum("sia,ij->sja", joint[vectors], ccoef[settings])
+        alice = marginal[vectors] @ acoef[settings]
+        term = np.matmul(ccoef[settings].T, joint[vectors].transpose(2, 1, 0).astype(np.int64))
+        return alice, term
 
     free = max(k for k in range(n + 1) if a**k <= CHUNK_VECTORS)
-    tails = _code_vectors(free, a)
+    heads = _code_vectors(n - free, a).astype(np.int8)
+    tails = _code_vectors(free, a).astype(np.int8)
+    head_alice, head_term = parts(heads, slice(0, n - free))
     tail_alice, tail_term = parts(tails, slice(n - free, n))
     tail_alice += 2 * f.constant
-    tail_term += np.asarray(f.bob, dtype=np.int64)[:, None] * marginal[None, :]
-    for head in itertools.product(range(a), repeat=n - free):
-        head = np.array([head], dtype=np.int64)
-        head_alice, head_term = parts(head, slice(0, n - free))
-        avec = np.hstack([head.repeat(len(tails), axis=0), tails])
-        yield avec, tail_alice + head_alice, tail_term + head_term
+    tail_term += marginal[:, None, None] * np.asarray(f.bob, dtype=np.int64)[:, None]
+    return heads, tails, head_alice, tail_alice, head_term, tail_term
 
 
 class DecoupledMax:
     """Exact maximum by the Alice-outer / Bob-per-setting-inner decoupling.
 
     `machine=None` searches the local deterministic class; values are doubled
-    integers.  One pass over `_chunks` keeps the attaining Alice vectors and
-    their (n, a) masks of Bob's optimal options per setting: a maximizer must
-    be optimal in every Bob setting, so the masks describe every maximizer.
+    integers.  One pass over the heads of `_split`, in lexicographic order,
+    keeps the attaining Alice vectors (`avec`, int8) and per vector and Bob
+    setting one bit mask of his optimal options (`optimal`, bit c for option
+    c): a maximizer must be optimal in every Bob setting, so the masks
+    describe every maximizer.  A head is skipped when its bound, the head's
+    Alice share plus the largest tail Alice share plus, per Bob setting, the
+    best option's head term plus that option's largest tail term, is below
+    a value already attained; the head with the largest bound is evaluated
+    first to supply that value.  `visited` counts the heads searched.
     """
 
     def __init__(self, f: BellFunctional, machine: MachineSpec | None):
         self.machine = machine
         self.n = f.scenario.n_settings
         self.a = alphabet_size(machine)
-        self.max2 = None
+        if self.a > 64:
+            raise ValueError("the option masks hold at most 64 options (31 box inputs)")
+        dtype = _search_dtype(f)
+        mask_type = np.min_scalar_type((1 << self.a) - 1)
+        heads, tails, head_alice, tail_alice, head_term, tail_term = _split(f, machine)
+        head_term, tail_term = head_term.astype(dtype), tail_term.astype(dtype)
+        bound = (
+            head_alice
+            + tail_alice.max()
+            + (head_term + tail_term.max(axis=2)[:, :, None]).max(axis=0).sum(axis=0)
+        )
+
+        def search(h):
+            term = tail_term + head_term[:, :, h, None]
+            best = term.max(axis=0)
+            return term, best, tail_alice + head_alice[h] + best.sum(axis=0)
+
+        first = int(bound.argmax())
+        primed = search(first)
+        self.max2 = int(primed[2].max())
+        self.visited = 0
         kept = []
-        for avec, alice_part, term in _chunks(f, machine):
-            best = term.max(axis=2)
-            total = alice_part + best.sum(axis=1)
+        for h, head_bound in enumerate(bound.tolist()):
+            if head_bound < self.max2:
+                continue
+            term, best, total = primed if h == first else search(h)
+            self.visited += 1
             top = int(total.max())
-            if self.max2 is None or top > self.max2:
+            if top > self.max2:
                 self.max2, kept = top, []
-            if top == self.max2:
-                sel = total == top
-                kept.append((avec[sel], term[sel] == best[sel][:, :, None]))
+            elif top < self.max2:
+                continue
+            sel = np.flatnonzero(total == top)
+            best = best[:, sel]
+            optimal = np.zeros((self.n, len(sel)), dtype=mask_type)
+            for c in range(self.a):
+                optimal[term[c][:, sel] == best] |= mask_type.type(1 << c)
+            optimal = optimal.T
+            avec = np.empty((len(sel), self.n), dtype=np.int8)
+            avec[:, : heads.shape[1]] = heads[h]
+            avec[:, heads.shape[1] :] = tails[sel]
+            kept.append((avec, optimal))
         self.avec = np.concatenate([avec for avec, _ in kept])
         self.optimal = np.concatenate([optimal for _, optimal in kept])
 
@@ -305,16 +379,29 @@ class DecoupledMax:
     def value(self) -> Fraction:
         return Fraction(self.max2, 2)
 
+    def _products(self, optimal) -> int:
+        """Sum over vectors of the product over settings of the options set in `optimal`.
+
+        Counted in blocks of `CHUNK_VECTORS` vectors, so no full-size count
+        array is made.
+        """
+        total = 0
+        for lo in range(0, len(optimal), CHUNK_VECTORS):
+            block = optimal[lo : lo + CHUNK_VECTORS]
+            counts = sum((block >> c) & 1 for c in range(self.a))
+            total += int(counts.prod(axis=1, dtype=np.int64).sum())
+        return total
+
     @property
     def n_attaining(self) -> int:
         """Number of strategies attaining the maximum."""
-        return int(self.optimal.sum(axis=2).prod(axis=1).sum())
+        return self._products(self.optimal)
 
     @property
     def n_deterministic(self) -> int:
         """Number of attaining strategies in which neither party uses the box."""
         det = (self.avec < 2).all(axis=1)
-        return int(self.optimal[det, :, :2].sum(axis=2).prod(axis=1).sum())
+        return self._products(self.optimal[det] & 3)
 
     def attaining(self) -> Iterator[tuple]:
         """Every maximizer as (alice, bob) code tuples, in lexicographic order.
@@ -324,31 +411,36 @@ class DecoupledMax:
         """
         for alice, optimal in zip(self.avec, self.optimal):
             alice = tuple(alice.tolist())
-            for bob in itertools.product(*(np.flatnonzero(o).tolist() for o in optimal)):
+            options = ([c for c in range(self.a) if m >> c & 1] for m in optimal.tolist())
+            for bob in itertools.product(*options):
                 yield alice, bob
 
     def star(self) -> Iterator[tuple]:
-        """Maximizers spanning the affine hull of all of them, as (alice, bob) code batches.
+        """Maximizers spanning the affine hull of all of them, in blocks.
 
-        Per batch of attaining Alice vectors: Bob's first optimal option per
-        setting, then each change of one setting to another optimal option.
         A behavior is Alice's marginals plus one block per Bob setting that
         depends only on her vector and his option there, so one vector's
-        maximizers form a product, spanned by a base choice and those changes.
+        maximizers form a product, spanned by a base choice and the changes
+        of one setting to another optimal option.  Per block of attaining
+        Alice vectors, yields `(alice, base, moves, step)`: Bob's first
+        optimal option per setting (`base`), each change as
+        `moves = (s, j, c)`, base row s with setting j played as option c,
+        ordered by (s, j, c), and the batch length `step`.  The stream runs
+        batch by batch of `step` vectors: their base choices, then their
+        changes.  A block holds whole batches.
         """
-        base = self.optimal.argmax(axis=2)
-        moves = self.optimal & (np.arange(self.a) != base[:, :, None])
+        bits = np.arange(self.a, dtype=self.optimal.dtype)
         step = max(1, STREAM_BATCH // (self.n * self.a))
-        for lo in range(0, len(base), step):
-            yield self.avec[lo : lo + step], base[lo : lo + step]
-            s, j, c = np.nonzero(moves[lo : lo + step])
-            bob = base[lo + s]
-            bob[np.arange(len(s)), j] = c
-            yield self.avec[lo + s], bob
+        block = step * max(1, CHUNK_VECTORS // step)
+        for lo in range(0, len(self.avec), block):
+            optimal = (self.optimal[lo : lo + block, :, None] >> bits) & 1 == 1
+            base = optimal.argmax(axis=2)
+            moves = np.nonzero(optimal & (bits != base[:, :, None]))
+            yield self.avec[lo : lo + block], base, moves, step
 
     def witness(self) -> WiringStrategy:
         """The lexicographically first strategy attaining the maximum."""
-        return WiringStrategy(self.machine, *next(self.attaining()))
+        return WiringStrategy._trusted(self.machine, *next(self.attaining()))
 
 
 @dataclass(frozen=True)
@@ -374,7 +466,7 @@ def max_over_one_machine(
         raise ValueError(f"collect_cap must be at least 0, got {collect_cap}")
     state = DecoupledMax(f, machine)
     saturating = tuple(
-        WiringStrategy(machine, alice, bob)
+        WiringStrategy._trusted(machine, alice, bob)
         for alice, bob in itertools.islice(state.attaining(), collect_cap)
     )
     return OneMachineMaximum(
@@ -397,26 +489,49 @@ def max_min_over_one_machine(f: BellFunctional, g: BellFunctional, machine: Mach
     """Exact max over one-machine strategies of min(f, g).
 
     In doubled units min(f, g) <= floor((f + g) / 2), and per Alice vector
-    Bob maximizes f + g column by column; playing the first such argmax
-    attains some min(f, g).  Only Alice vectors whose bound beats the best
-    attained value get the exact search: their reachable (f, g) value pairs
+    Bob maximizes f + g setting by setting, an elementwise maximum over the
+    options axis of `_split`'s terms; playing, per setting, the maximizer
+    with the largest f attains some min(f, g).  Heads whose bound on
+    (f + g) / 2, built as `DecoupledMax` builds its head bound, does not
+    beat the best attained value are skipped.  Only Alice vectors whose
+    bound beats it get the exact search: their reachable (f, g) value pairs
     form a Minkowski sum of per-setting option sets, and a Pareto frontier
     sweep keeps this exact without enumerating Bob's full product space.
     """
     if f.scenario != g.scenario:
         raise ValueError("functionals live in different scenarios")
+    dtype = _search_dtype(f, g)
+    _, _, head_f, tail_f, head_tf, tail_tf = _split(f, machine)
+    _, _, head_g, tail_g, head_tg, tail_tg = _split(g, machine)
+    head_tf, tail_tf = head_tf.astype(dtype), tail_tf.astype(dtype)
+    head_tg, tail_tg = head_tg.astype(dtype), tail_tg.astype(dtype)
+    tail_both = tail_tf + tail_tg
+    head_bound = (
+        head_f
+        + head_g
+        + (tail_f + tail_g).max()
+        + (head_tf + head_tg + tail_both.max(axis=2)[:, :, None]).max(axis=0).sum(axis=0)
+    ) // 2
+    lowest = np.iinfo(dtype).min
     best2 = None
     candidates = []
-    for (_, part_f, tf), (_, part_g, tg) in zip(_chunks(f, machine), _chunks(g, machine)):
+    for h, bound in enumerate(head_bound.tolist()):
+        if best2 is not None and bound <= best2:
+            continue
+        tf = tail_tf + head_tf[:, :, h, None]
+        tg = tail_tg + head_tg[:, :, h, None]
         both = tf + tg
-        play = both.argmax(axis=2)[..., None]
-        f_part = part_f + np.take_along_axis(tf, play, 2).sum(axis=(1, 2))
-        both_part = part_f + part_g + both.max(axis=2).sum(axis=1)
+        best = both.max(axis=0)
+        play_f = np.where(both == best, tf, lowest).max(axis=0)
+        part_f, part_g = tail_f + head_f[h], tail_g + head_g[h]
+        f_part = part_f + play_f.sum(axis=0)
+        both_part = part_f + part_g + best.sum(axis=0)
         top = int(np.minimum(f_part, both_part - f_part).max())
         best2 = top if best2 is None else max(best2, top)
         bound = both_part // 2
         loose = np.flatnonzero(bound > best2)
-        candidates += zip(*(x[loose].tolist() for x in (bound, part_f, part_g, tf, tg)))
+        options_f, options_g = (t[:, :, loose].transpose(2, 1, 0) for t in (tf, tg))
+        candidates += zip(*(x.tolist() for x in (bound[loose], part_f[loose], part_g[loose], options_f, options_g)))
     for bound, base_f, base_g, tf, tg in candidates:
         if bound <= best2:
             continue

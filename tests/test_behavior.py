@@ -238,6 +238,9 @@ def test_half_units_off_the_table_and_off_the_grid():
     point = from_half_units(scenario, halves)
     assert point.coords() == tuple(Fraction(h, 2) for h in halves)
     assert to_half_units(point) == halves
+    assert point == BehaviorPoint.from_coords(scenario, [Fraction(h, 2) for h in halves])
+    with pytest.raises(ValueError, match="wrong length"):
+        from_half_units(scenario, halves[:-1])
     with pytest.raises(ValueError):
         to_half_units(BehaviorPoint(Scenario(2), (0.5, 0.5), (0.5, 0.5), ((0.5, 0.0), (0.0, 0.5))))
     third = BehaviorPoint(Scenario(2), (HALF, HALF), (HALF, Fraction(1, 3)), ((HALF, 0), (0, 0)))

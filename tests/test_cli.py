@@ -81,6 +81,17 @@ def test_enum_local_count(capsys):
     assert out.strip() == "16"
 
 
+def test_enum_local_count_builds_no_points(capsys, monkeypatch):
+    monkeypatch.setattr(cli.strategies, "enumerate_local", None)
+    code, out, _ = run(capsys, "enum-local", "--n", "7", "--cap", "7", "--count")
+    assert code == 0
+    assert out == "16384\n"
+    code, out, err = run(capsys, "enum-local", "--n", "7", "--count")
+    assert_one_line_error(code, err)
+    assert "exceeds the cap" in err
+    assert out == ""
+
+
 def test_enum_ns_counts(capsys):
     code, out, _ = run(capsys, "enum-ns", "--n", "2", "--count")
     assert code == 0

@@ -81,6 +81,77 @@ def test_exact_affine_rank_on_behaviors():
     assert exact_affine_rank([a, b, mid, third]) == 1
 
 
+def fraction_profile(rows) -> list:
+    """Indices of the rows that raise the rank of the rows before them, by Fraction elimination."""
+    reduced, pivots, independent = [], [], []
+    for index, row in enumerate(rows):
+        v = [Fraction(x) for x in row]
+        for b, p in zip(reduced, pivots):
+            if v[p]:
+                factor = v[p] / b[p]
+                v = [x - factor * y for x, y in zip(v, b)]
+        if any(v):
+            reduced.append(v)
+            pivots.append(next(k for k, x in enumerate(v) if x))
+            independent.append(index)
+    return independent
+
+
+def planted_rows(rng, d: int, rank: int, scale: int) -> list:
+    """Integer rows of dimension d spanning `rank` dimensions, dependent rows interleaved."""
+    rows = []
+    for _ in range(rank):
+        if rows:
+            for _ in range(rng.randrange(3)):  # combinations of the rows so far
+                weights = [rng.randint(-2, 2) for _ in rows]
+                rows.append([sum(w * r[k] for w, r in zip(weights, rows)) for k in range(d)])
+        rows.append([rng.randint(-scale, scale) for _ in range(d)])
+    rows.append([0] * d)
+    rows.append(list(rows[0]))
+    return rows
+
+
+def test_complement_basis_matches_fraction_elimination():
+    rng = random.Random(2026)
+    for _ in range(40):
+        d = rng.randint(2, 9)
+        rows = planted_rows(rng, d, rng.randint(1, d), 3)
+        expected = fraction_profile(rows)
+        basis = IntRowBasis()
+        assert basis.add_rows(rows) == expected
+        assert basis.rank == len(expected)
+        assert basis.complement.dtype == np.int64
+        # the same rows one at a time, and in two blocks
+        single = IntRowBasis()
+        assert [i for i, row in enumerate(rows) if single.add(row)] == expected
+        split = IntRowBasis()
+        cut = len(rows) // 2
+        added = split.add_rows(rows[:cut]) + [cut + i for i in split.add_rows(np.array(rows[cut:]))]
+        assert added == expected
+        # K v = 0 exactly on the row space
+        assert not (np.array(rows, dtype=np.int64) @ basis.complement.T).any()
+
+
+def test_complement_basis_switches_to_python_ints_before_int64_overflows():
+    rng = random.Random(5)
+    # entries near 2^40: a product against the complement, or a fold of two
+    # of them, could pass 2^63, so the guard must move to exact Python ints
+    rows = planted_rows(rng, 7, 5, 2**40)
+    basis = IntRowBasis()
+    assert basis.add_rows(rows) == fraction_profile(rows)
+    # the complement is exact: orthogonal to every row in Python ints
+    complement = basis.complement.tolist()
+    assert len(complement) == 2
+    assert all(sum(a * b for a, b in zip(k, row)) == 0 for k in complement for row in rows)
+    assert basis.complement.dtype == object
+    assert affine_rank_halves(rows) == len(fraction_profile([[x - y for x, y in zip(r, rows[0])] for r in rows[1:]]))
+    # entries past int64 arrive as Python ints
+    huge = [[3**50, 1, 0], [2 * 3**50, 2, 0], [0, 0, 2**70]]
+    basis = IntRowBasis()
+    assert basis.add_rows(huge) == [0, 2]
+    assert basis.rank == 2 and basis.complement.dtype == object
+
+
 # ---------------------------------------------------------------------------
 # Facet certificates
 
@@ -285,6 +356,8 @@ def test_empty_functional_lists_select_nothing(labeled_vertices):
     result = violation_census(labeled_vertices, [], [])
     assert result.total == 1344
     assert all((st.chsh_violations, st.i3322_violations) == (0, 0) for st in result.classes.values())
+    nothing = violation_census([], [], [])
+    assert (nothing.total, nothing.classes) == (0, {})
 
 
 def test_census_rejects_inconsistent_labels(labeled_vertices, chsh3_orbit, i3322_orbit):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -16,12 +17,15 @@ from bellbox.functionals import (
     transform,
     random_element,
 )
+from bellbox import strategies
 from bellbox.machines import machine_behavior, pr_box, pr_machine
 from bellbox.polytope import doubled_values, one_machine_half_matrix
 from bellbox.strategies import (
+    CHUNK_VECTORS,
     OPT_DET0,
     OPT_DET1,
     CapExceededError,
+    DecoupledMax,
     WiringStrategy,
     alphabet_size,
     deterministic_point,
@@ -316,6 +320,10 @@ def test_saturating_list_hits_the_maximum():
     assert not result.truncated
     assert [(s.alice, s.bob) for s in result.saturating] == expected
     assert (result.witness.alice, result.witness.bob) == expected[0]
+    # built without re-validation, so the codes must already be plain ints
+    assert all(type(c) is int for s in result.saturating for c in s.alice + s.bob)
+    assert result.saturating[0] == WiringStrategy(pr_box(), *expected[0])
+    assert len(set(result.saturating)) == 524
 
 
 def test_collect_cap_truncates():
@@ -393,3 +401,109 @@ def test_strategy_json_roundtrip():
     doc = strategy_to_json_dict(s)
     assert doc["alice"] == ["0m", "2mf", "1d"]
     assert strategy_from_json_dict(doc) == s
+
+
+# ---------------------------------------------------------------------------
+# The option-major kernel against the exhaustive n = 3 table
+
+
+def random_functional(rng, n=3):
+    coefficient = lambda: rng.randint(-2, 2)  # noqa: E731
+    return BellFunctional(
+        Scenario(n),
+        tuple(coefficient() for _ in range(n)),
+        tuple(coefficient() for _ in range(n)),
+        tuple(tuple(coefficient() for _ in range(n)) for _ in range(n)),
+        coefficient(),
+    )
+
+
+def exhaustive_kernel(f, machine):
+    """What `DecoupledMax` must hold, read off the dense table of every strategy pair.
+
+    Returns (doubled maximum, attaining Alice vectors in lexicographic order,
+    per vector and Bob setting which options some maximizer plays there,
+    number of maximizers, number of them without the box, first maximizer).
+    """
+    a = alphabet_size(machine)
+    vectors = np.array(list(itertools.product(range(a), repeat=3)))
+    vals2 = doubled_values(one_machine_half_matrix(3, machine), [f])[:, 0].reshape(a**3, a**3)
+    hit = vals2 == vals2.max()
+    rows = np.flatnonzero(hit.any(axis=1))
+    plays = (vectors[:, :, None] == np.arange(a)).reshape(a**3, 3 * a).astype(np.int64)
+    masks = (hit[rows].astype(np.int64) @ plays > 0).reshape(-1, 3, a)
+    det = (vectors < 2).all(axis=1)
+    s, b = np.argwhere(hit)[0]
+    first = (tuple(vectors[s].tolist()), tuple(vectors[b].tolist()))
+    return int(vals2.max()), vectors[rows], masks, int(hit.sum()), int(hit[np.ix_(det, det)].sum()), first
+
+
+def option_bits(state):
+    """`state.optimal` unpacked to (vectors, n, a) bools."""
+    return (state.optimal[..., None] >> np.arange(state.a)) & 1 == 1
+
+
+# 8 Alice vectors per block splits an n = 3 vector into a two-setting head and
+# a one-setting tail under pr_machine(3), so the 64 heads are bounded and the
+# kept vectors come from several blocks; on these facets no head bound falls
+# below the maximum, on the random functionals most do
+@pytest.mark.parametrize("chunk", [CHUNK_VECTORS, 8])
+def test_decoupled_max_matches_the_exhaustive_table(monkeypatch, chunk):
+    monkeypatch.setattr(strategies, "CHUNK_VECTORS", chunk)
+    rng = random.Random(11)
+    machine = pr_machine(3)
+    corpus = [transform(base, random_element(3, rng))
+              for base in (make_mnn22(3), make_inn22(3), make_chsh(3)) for _ in range(2)]
+    corpus += [random_functional(rng) for _ in range(4)]
+    visited = []
+    for f in corpus:
+        top, avec, masks, count, det, first = exhaustive_kernel(f, machine)
+        state = DecoupledMax(f, machine)
+        assert state.max2 == top
+        assert state.avec.dtype == np.int8 and state.optimal.shape == avec.shape
+        assert np.array_equal(state.avec, avec)
+        assert np.array_equal(option_bits(state), masks)
+        assert (state.n_attaining, state.n_deterministic) == (count, det)
+        witness = state.witness()
+        assert (witness.alice, witness.bob) == first
+        visited.append(state.visited)
+    if chunk == 8:
+        assert visited[:6] == [64] * 6 and sum(visited[6:]) < 4 * 64
+    else:
+        assert visited == [1] * len(corpus)
+
+
+# sha256 of the attaining Alice vectors (int64) and their option masks as
+# (vectors, n, a) bools, recorded with the setting-major kernel
+KERNEL_DIGESTS = {
+    3: "f76a021d960742c0dfbde38f3b3d0942bd99494ff0fea81e984efd7c8b8b767e",
+    4: "2dcf03f023a81c6523d8c03cce22c31fe11c1cf89cd284207d615811bf6fb24e",
+    5: "71f39010441c759259a4e8b417c6ffdf5be0348e3e62ffe9c35fb31422cea8d3",
+}
+
+
+@pytest.mark.parametrize("n", sorted(KERNEL_DIGESTS))
+def test_machine_resistant_maximizers_are_pinned(n):
+    state = DecoupledMax(make_mnn22(n), pr_box() if n == 3 else pr_machine(n - 1))
+    data = state.avec.astype(np.int64).tobytes() + option_bits(state).tobytes()
+    assert hashlib.sha256(data).hexdigest() == KERNEL_DIGESTS[n]
+    if n == 5:
+        # the head bound skips 25 of the 100 two-setting heads
+        assert state.visited == 75
+
+
+@pytest.mark.parametrize("chunk", [CHUNK_VECTORS, 6])
+def test_max_min_matches_the_exhaustive_table(monkeypatch, chunk):
+    monkeypatch.setattr(strategies, "CHUNK_VECTORS", chunk)
+    machine = pr_box()
+    matrix = one_machine_half_matrix(3, machine)
+    rng = random.Random(7)
+    loose = 0
+    for _ in range(6):
+        f, g = random_functional(rng), random_functional(rng)
+        vals2 = doubled_values(matrix, [f, g])
+        exhaustive = int(np.minimum(vals2[:, 0], vals2[:, 1]).max())
+        # the (f + g) / 2 bound is not attained, so the Pareto sweep decides
+        loose += exhaustive < int((vals2.sum(axis=1) // 2).max())
+        assert max_min_over_one_machine(f, g, machine) == Fraction(exhaustive, 2)
+    assert loose >= 2
