@@ -11,13 +11,10 @@ used downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
-from .behavior import BehaviorPoint, Scenario, as_integer
+from .behavior import BehaviorPoint, Scenario, as_integer, from_half_units
 from .functionals import BellFunctional, make_inn22
-
-HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -72,12 +69,8 @@ def pr_machine(n: int) -> MachineSpec:
 def machine_behavior(m: MachineSpec) -> BehaviorPoint:
     """Exact behavior: all marginals 1/2; joints 0 on anticorrelated pairs, else 1/2."""
     n = m.n_inputs
-    marg = (HALF,) * n
-    joint = tuple(
-        tuple(Fraction(0) if m.anticorrelates(x, y) else HALF for y in range(n))
-        for x in range(n)
-    )
-    return BehaviorPoint(Scenario(n), marg, marg, joint)
+    joint = [0 if m.anticorrelates(x, y) else 1 for x in range(n) for y in range(n)]
+    return from_half_units(Scenario(n), [1] * 2 * n + joint)
 
 
 def pr3_formula_check(m: MachineSpec) -> bool:

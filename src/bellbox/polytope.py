@@ -1,7 +1,8 @@
 """Facet verification, no-signaling vertex enumeration, and exact rank checks.
 
-Every behavior here is gathered from the option table of `strategies`, for
-the local class and for one box alike.  A facet certificate bundles the
+Every strategy behavior here comes as half-unit rows from `strategies`, for
+the local class and for one box alike; this module ranks and counts them,
+and never reads the option table itself.  A facet certificate bundles the
 exact class maximum, the saturating behaviors, and the affine rank of the
 saturating set; it is accepted exactly when the maximum is 0 and the rank
 is N(N+2)-1.  The rank is kept as an integer basis of the orthogonal
@@ -29,16 +30,13 @@ from math import gcd
 import numpy as np
 
 from .behavior import BehaviorPoint, Scenario, from_half_units, to_half_units, validate
-from .functionals import (
-    BellFunctional, make_c1, make_c2, make_chsh, make_inn22, make_mnn22, orbit, unseen_rows
-)
+from .functionals import BellFunctional, make_c1, make_c2, make_chsh, make_inn22, make_mnn22, orbit
 from .machines import MachineSpec, gf2_rank, machine_behavior, pr_machine
 from .strategies import (
     DecoupledMax,
     deterministic_point,
     half_rows,
     one_machine_half_matrix,
-    option_table,
     strategy_behavior,
 )
 
@@ -165,11 +163,6 @@ def exact_affine_rank(points) -> int:
 # Vectorized behavior tables
 
 
-def local_half_matrix(n: int) -> np.ndarray:
-    """Half-unit coordinates of all 4^n deterministic behaviors, lex order."""
-    return one_machine_half_matrix(n, None)
-
-
 def functional_matrix(functionals, d: int) -> tuple:
     """Stack coefficient vectors; returns (coeffs (m, d) int64, doubled constants (m,))."""
     rows = [f.coefficient_vector() for f in functionals]
@@ -210,44 +203,6 @@ class FacetCertificate:
         )
 
 
-def _distinct_star_rows(machine: MachineSpec | None, state: DecoupledMax):
-    """Distinct half-unit rows (int8) of `state.star()` in blocks, first occurrences first.
-
-    The stream runs batch by batch: base rows, then move rows.  A move
-    changes Bob's option in one setting j, which rewrites only his marginal
-    j and joint column j, so a move row is fixed by its base row, j and
-    that column (n + 1 entries in {0, 1, 2}, one base-3 code).  A move
-    whose (base row, j, code) was met before repeats a row already met; the
-    others are built as their base row with that column read off the option
-    table, and the block's rows are deduplicated by their bytes in stream
-    order.
-    """
-    marginal, joint = option_table(machine)
-    n = state.n
-    column = 2 * n + n * np.arange(n)
-    digits = 3 ** np.arange(n, dtype=np.int64)
-    seen, base_ids, seen_moves = set(), {}, set()
-    for alice, base, (s, j, c), step in state.star():
-        rows = half_rows(machine, alice, base)
-        keys = rows.view(np.dtype((np.void, rows.shape[1]))).ravel().tolist()
-        ids = np.array([base_ids.setdefault(key, len(base_ids)) for key in keys], dtype=np.int64)
-        # code[v, c]: Bob's column under option c against Alice vector v
-        code = digits @ joint[alice].astype(np.int64) + marginal.astype(np.int64) * 3**n
-        signature = (ids[s] * n + j) * 3 ** (n + 1) + code[s, c]
-        unique, first = np.unique(signature, return_index=True)
-        new = [k for k, sig in enumerate(unique.tolist()) if sig not in seen_moves]
-        seen_moves.update(unique[new].tolist())
-        pick = np.sort(first[new])
-        s, j, c = s[pick], j[pick], c[pick]
-        moved = rows[s]
-        at = np.arange(len(s))
-        moved[at, n + j] = marginal[c]
-        moved[at[:, None], column + j[:, None]] = joint[alice[s], c[:, None]]
-        batch = np.concatenate([np.arange(len(rows)) // step * 2, s // step * 2 + 1])
-        stream = np.concatenate([rows, moved])[np.argsort(batch, kind="stable")]
-        yield stream[unseen_rows(stream, seen)]
-
-
 # at most this many saturating behaviors are kept on a certificate
 SATURATING_POINTS_CAP = 4096
 
@@ -264,7 +219,7 @@ def verify_facet(
     one-machine class; the local witness is a `BehaviorPoint`, a box one a
     `WiringStrategy`.  The maximum and the numbers of saturating and of
     deterministic saturating strategies are exact.  When the maximum is 0,
-    the affine rank is that of the distinct behaviors of `DecoupledMax.star`
+    the affine rank is that of the distinct behaviors of `DecoupledMax.star_rows`
     (first `SATURATING_POINTS_CAP` kept), which span the saturating set's
     affine hull.  It stops at the highest rank that set can have: N(N+2)-1
     when `f` has a nonzero coefficient (the set lies in f = 0), else N(N+2).
@@ -284,7 +239,7 @@ def verify_facet(
     truncated = False
     if state.max2 == 0:
         examined = 0
-        for fresh in _distinct_star_rows(machine, state):
+        for fresh in state.star_rows():
             if not len(fresh):
                 continue
             if examined == max_strategies:
@@ -487,6 +442,8 @@ def classify_vertex_n3(halves) -> str:
     1 is reachable with a two-input box).
     """
     n = 3
+    if len(halves) != n * (n + 2):
+        raise ValueError(f"a three-setting vertex has 15 coordinates, got {len(halves)}")
     a_det = sum(1 for v in halves[:n] if v in (0, 2))
     b_det = sum(1 for v in halves[n : 2 * n] if v in (0, 2))
     if (a_det, b_det) == (1, 1):

@@ -9,7 +9,8 @@ Options are encoded as integers in the canonical tie-breaking order
 A behavior entry at settings (i, j) depends only on the two per-setting
 choices, so one cached option table per machine (`option_table`, in integer
 half-units, with `machine=None` as the local class) holds every entry; single
-behaviors, strategy-pair matrices and the exact maximizer all gather from it.
+behaviors, deterministic points, strategy-pair matrices and the exact
+maximizer's spanning rows (`DecoupledMax.star_rows`) all gather from it.
 The maximizer exploits the same locality: for a fixed Alice choice vector
 each of Bob's settings can be optimized independently.  This turns the
 (2+2K)^(2N) product search into (2+2K)^N * N * (2+2K) evaluations, all in
@@ -37,7 +38,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .behavior import BehaviorPoint, Scenario, as_integer, from_half_units
-from .functionals import BellFunctional
+from .functionals import BellFunctional, unseen_rows
 from .machines import MachineSpec
 
 DEFAULT_SETTING_CAP = 6
@@ -215,14 +216,18 @@ def strategy_behavior(s: WiringStrategy) -> BehaviorPoint:
 
 
 def deterministic_point(scenario: Scenario, alice_outputs: Sequence[int], bob_outputs: Sequence[int]) -> BehaviorPoint:
-    """The local vertex where each party always outputs the given bit per setting."""
+    """The local vertex where each party always outputs the given bit per setting.
+
+    Output bit u is choice code u (0d or 1d), so the point is a row of the
+    local option table.
+    """
     n = scenario.n_settings
     if len(alice_outputs) != n or len(bob_outputs) != n:
         raise ValueError("need one output bit per setting")
-    a = tuple(1 - int(u) for u in alice_outputs)
-    b = tuple(1 - int(v) for v in bob_outputs)
-    joint = tuple(tuple(a[i] * b[j] for j in range(n)) for i in range(n))
-    return BehaviorPoint(scenario, a, b, joint)
+    bits = [as_integer(u, "output bit") for u in (*alice_outputs, *bob_outputs)]
+    if not all(u in (0, 1) for u in bits):
+        raise ValueError(f"output bits are 0 or 1, got {bits}")
+    return from_half_units(scenario, half_rows(None, bits[:n], bits[n:]).tolist())
 
 
 def check_cap(n: int, cap: int | None):
@@ -238,11 +243,7 @@ def enumerate_local(scenario: Scenario, cap: int | None = None) -> list:
     """All 4^N deterministic behaviors, in output lexicographic order."""
     n = scenario.n_settings
     check_cap(n, cap)
-    points = []
-    for u in itertools.product((0, 1), repeat=n):
-        for v in itertools.product((0, 1), repeat=n):
-            points.append(deterministic_point(scenario, u, v))
-    return points
+    return [from_half_units(scenario, row) for row in one_machine_half_matrix(n, None).tolist()]
 
 
 def enumerate_one_machine(scenario: Scenario, machine: MachineSpec, cap: int | None = None) -> Iterator[WiringStrategy]:
@@ -273,7 +274,7 @@ def _search_dtype(*functionals: BellFunctional) -> np.dtype:
     return np.min_scalar_type(-bound - 1)
 
 
-def _split(f: BellFunctional, machine: MachineSpec | None) -> tuple:
+def _split(f: BellFunctional, machine: MachineSpec | None, dtype: np.dtype) -> tuple:
     """Head and tail shares of the doubled value of `f`, options first.
 
     Alice's choice vector splits into leading (head) settings and as many
@@ -288,7 +289,8 @@ def _split(f: BellFunctional, machine: MachineSpec | None) -> tuple:
     `head_term[b_j, j, h] + tail_term[b_j, j, t]`, so Bob's best option
     per setting is an elementwise maximum over the
     contiguous (settings, tails) slices of the options axis, and a head's
-    terms add to the tails' as one scalar per contiguous row.  All int64.
+    terms add to the tails' as one scalar per contiguous row.  The Alice
+    shares are int64, the terms `dtype` (see `_search_dtype`).
     """
     n = f.scenario.n_settings
     a = alphabet_size(machine)
@@ -308,7 +310,21 @@ def _split(f: BellFunctional, machine: MachineSpec | None) -> tuple:
     tail_alice, tail_term = parts(tails, slice(n - free, n))
     tail_alice += 2 * f.constant
     tail_term += marginal[:, None, None] * np.asarray(f.bob, dtype=np.int64)[:, None]
-    return heads, tails, head_alice, tail_alice, head_term, tail_term
+    return heads, tails, head_alice, tail_alice, head_term.astype(dtype), tail_term.astype(dtype)
+
+
+def _head_bound(head_alice, tail_alice, head_term, tail_term) -> np.ndarray:
+    """Per head of `_split`'s shares, an upper bound on the doubled value of its vectors.
+
+    The head's Alice share plus the largest tail Alice share plus, per Bob
+    setting, the best option's head term plus that option's largest tail
+    term.
+    """
+    return (
+        head_alice
+        + tail_alice.max()
+        + (head_term + tail_term.max(axis=2)[:, :, None]).max(axis=0).sum(axis=0)
+    )
 
 
 class DecoupledMax:
@@ -319,11 +335,10 @@ class DecoupledMax:
     keeps the attaining Alice vectors (`avec`, int8) and per vector and Bob
     setting one bit mask of his optimal options (`optimal`, bit c for option
     c): a maximizer must be optimal in every Bob setting, so the masks
-    describe every maximizer.  A head is skipped when its bound, the head's
-    Alice share plus the largest tail Alice share plus, per Bob setting, the
-    best option's head term plus that option's largest tail term, is below
-    a value already attained; the head with the largest bound is evaluated
-    first to supply that value.  `visited` counts the heads searched.
+    describe every maximizer.  A head is skipped when its `_head_bound` is
+    below a value already attained; the head with the largest bound is
+    evaluated first to supply that value.  `visited` counts the heads
+    searched.
     """
 
     def __init__(self, f: BellFunctional, machine: MachineSpec | None):
@@ -332,15 +347,9 @@ class DecoupledMax:
         self.a = alphabet_size(machine)
         if self.a > 64:
             raise ValueError("the option masks hold at most 64 options (31 box inputs)")
-        dtype = _search_dtype(f)
         mask_type = np.min_scalar_type((1 << self.a) - 1)
-        heads, tails, head_alice, tail_alice, head_term, tail_term = _split(f, machine)
-        head_term, tail_term = head_term.astype(dtype), tail_term.astype(dtype)
-        bound = (
-            head_alice
-            + tail_alice.max()
-            + (head_term + tail_term.max(axis=2)[:, :, None]).max(axis=0).sum(axis=0)
-        )
+        heads, tails, head_alice, tail_alice, head_term, tail_term = _split(f, machine, _search_dtype(f))
+        bound = _head_bound(head_alice, tail_alice, head_term, tail_term)
 
         def search(h):
             term = tail_term + head_term[:, :, h, None]
@@ -415,28 +424,53 @@ class DecoupledMax:
             for bob in itertools.product(*options):
                 yield alice, bob
 
-    def star(self) -> Iterator[tuple]:
-        """Maximizers spanning the affine hull of all of them, in blocks.
+    def star_rows(self) -> Iterator[np.ndarray]:
+        """Distinct half-unit rows (int8) of maximizers spanning the affine hull of all of them.
 
         A behavior is Alice's marginals plus one block per Bob setting that
         depends only on her vector and his option there, so one vector's
-        maximizers form a product, spanned by a base choice and the changes
-        of one setting to another optimal option.  Per block of attaining
-        Alice vectors, yields `(alice, base, moves, step)`: Bob's first
-        optimal option per setting (`base`), each change as
-        `moves = (s, j, c)`, base row s with setting j played as option c,
-        ordered by (s, j, c), and the batch length `step`.  The stream runs
-        batch by batch of `step` vectors: their base choices, then their
-        changes.  A block holds whole batches.
+        maximizers form a product, spanned by a base choice (Bob's first
+        optimal option per setting) and the moves that change one setting j
+        to another optimal option c.  The stream runs batch by batch of
+        `step` attaining vectors: their base rows, then their move rows
+        ordered by (vector, j, c).  It is yielded in blocks of whole
+        batches, each row at its first occurrence only.  A move rewrites only
+        Bob's marginal j and joint column j, so it is fixed by its base row,
+        j and that column (n + 1 entries in {0, 1, 2}, one base-3 code); a
+        move whose (base row, j, code) was met before repeats a row already
+        met and is not built.
         """
+        marginal, joint = option_table(self.machine)
+        n = self.n
         bits = np.arange(self.a, dtype=self.optimal.dtype)
-        step = max(1, STREAM_BATCH // (self.n * self.a))
+        step = max(1, STREAM_BATCH // (n * self.a))
         block = step * max(1, CHUNK_VECTORS // step)
+        column = 2 * n + n * np.arange(n)
+        digits = 3 ** np.arange(n, dtype=np.int64)
+        seen, base_ids, seen_moves = set(), {}, set()
         for lo in range(0, len(self.avec), block):
+            alice = self.avec[lo : lo + block]
             optimal = (self.optimal[lo : lo + block, :, None] >> bits) & 1 == 1
             base = optimal.argmax(axis=2)
-            moves = np.nonzero(optimal & (bits != base[:, :, None]))
-            yield self.avec[lo : lo + block], base, moves, step
+            s, j, c = np.nonzero(optimal & (bits != base[:, :, None]))
+            rows = half_rows(self.machine, alice, base)
+            keys = rows.view(np.dtype((np.void, rows.shape[1]))).ravel().tolist()
+            ids = np.array([base_ids.setdefault(key, len(base_ids)) for key in keys], dtype=np.int64)
+            # code[v, c]: Bob's column under option c against Alice vector v
+            code = digits @ joint[alice].astype(np.int64) + marginal.astype(np.int64) * 3**n
+            signature = (ids[s] * n + j) * 3 ** (n + 1) + code[s, c]
+            unique, first = np.unique(signature, return_index=True)
+            new = [k for k, sig in enumerate(unique.tolist()) if sig not in seen_moves]
+            seen_moves.update(unique[new].tolist())
+            pick = np.sort(first[new])
+            s, j, c = s[pick], j[pick], c[pick]
+            moved = rows[s]
+            at = np.arange(len(s))
+            moved[at, n + j] = marginal[c]
+            moved[at[:, None], column + j[:, None]] = joint[alice[s], c[:, None]]
+            batch = np.concatenate([np.arange(len(rows)) // step * 2, s // step * 2 + 1])
+            stream = np.concatenate([rows, moved])[np.argsort(batch, kind="stable")]
+            yield stream[unseen_rows(stream, seen)]
 
     def witness(self) -> WiringStrategy:
         """The lexicographically first strategy attaining the maximum."""
@@ -492,26 +526,18 @@ def max_min_over_one_machine(f: BellFunctional, g: BellFunctional, machine: Mach
     Bob maximizes f + g setting by setting, an elementwise maximum over the
     options axis of `_split`'s terms; playing, per setting, the maximizer
     with the largest f attains some min(f, g).  Heads whose bound on
-    (f + g) / 2, built as `DecoupledMax` builds its head bound, does not
-    beat the best attained value are skipped.  Only Alice vectors whose
-    bound beats it get the exact search: their reachable (f, g) value pairs
-    form a Minkowski sum of per-setting option sets, and a Pareto frontier
-    sweep keeps this exact without enumerating Bob's full product space.
+    (f + g) / 2, half the `_head_bound` of f + g, does not beat the best
+    attained value are skipped.  Only Alice vectors whose bound beats it
+    get the exact search: their reachable (f, g) value pairs form a
+    Minkowski sum of per-setting option sets, and a Pareto frontier sweep
+    keeps this exact without enumerating Bob's full product space.
     """
     if f.scenario != g.scenario:
         raise ValueError("functionals live in different scenarios")
     dtype = _search_dtype(f, g)
-    _, _, head_f, tail_f, head_tf, tail_tf = _split(f, machine)
-    _, _, head_g, tail_g, head_tg, tail_tg = _split(g, machine)
-    head_tf, tail_tf = head_tf.astype(dtype), tail_tf.astype(dtype)
-    head_tg, tail_tg = head_tg.astype(dtype), tail_tg.astype(dtype)
-    tail_both = tail_tf + tail_tg
-    head_bound = (
-        head_f
-        + head_g
-        + (tail_f + tail_g).max()
-        + (head_tf + head_tg + tail_both.max(axis=2)[:, :, None]).max(axis=0).sum(axis=0)
-    ) // 2
+    _, _, head_f, tail_f, head_tf, tail_tf = _split(f, machine, dtype)
+    _, _, head_g, tail_g, head_tg, tail_tg = _split(g, machine, dtype)
+    head_bound = _head_bound(head_f + head_g, tail_f + tail_g, head_tf + head_tg, tail_tf + tail_tg) // 2
     lowest = np.iinfo(dtype).min
     best2 = None
     candidates = []

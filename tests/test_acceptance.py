@@ -30,7 +30,6 @@ from bellbox.polytope import (
     doubled_values,
     enumerate_nonlocal_vertices,
     enumerate_ns_vertices_n3,
-    local_half_matrix,
     one_machine_half_matrix,
     verify_facet,
     violation_census,
@@ -81,7 +80,7 @@ def test_criterion_1_two_setting_counts(chsh2_orbit):
 
 def test_criterion_2_three_setting_facets(chsh3_orbit, i3322_orbit):
     crit = Criterion(2, 10.0)
-    locals3 = local_half_matrix(3)
+    locals3 = one_machine_half_matrix(3, None)
     facets = list(chsh3_orbit) + list(i3322_orbit)
     values = doubled_values(locals3, facets)
     maxima = values.max(axis=0)

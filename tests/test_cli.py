@@ -346,7 +346,8 @@ def test_quantum_sweep_stdout_is_pinned(capsys, argv, digest):
 
 # sha256 of the full stdout of each run, recorded with the hand-written
 # relabeling maps, np.unique(axis=0) row deduplication and the lemma sampler
-# building Fraction points
+# building Fraction points; the last two with local and box behaviors built
+# entry by entry, before they were read off half-unit rows
 EXACT_STDOUT = [
     (["census"], "2e9222e1d27637246c5b746dbe76299e8196addaff79824883b0cb6cb9d036e6"),
     (["census", "--format", "json"], "d86a85c7c2efeb6a46b9b30e6385b18946937831f524bd0629504a7ce68e3565"),
@@ -354,6 +355,9 @@ EXACT_STDOUT = [
     (["enum-ns", "--n", "2"], "6bcd53fb832fb162115b970c239322f7033db8f15c50a87234abb04f25f19ba0"),
     (["lemma1", "--n", "4", "--samples", "2000", "--seed", "5"],
      "735d891831e1886b0485ab3aadb2cd4c6652eeb590bd4c19190c8c4cefdcd02e"),
+    (["enum-local", "--n", "3"], "b2a75008fd82c31565230508d3c2197ac2201718c24c1e57b60278418cec9ba9"),
+    (["machine", "wire", "--prn", "4", "--format", "table"],
+     "b19487900e297fc764762127788dda4ae890865b94d1d9cba47bc7cb720e268a"),
 ]
 
 

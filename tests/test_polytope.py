@@ -332,6 +332,13 @@ def test_two_input_box_embedded_point_is_class_s2(chsh3_orbit, i3322_orbit):
     assert (chsh_hits, i_hits) == (1, 8)
 
 
+def test_classify_vertex_n3_refuses_a_row_of_the_wrong_length():
+    with pytest.raises(ValueError, match="got 8"):
+        classify_vertex_n3([1] * 8)
+    with pytest.raises(ValueError, match="got 16"):
+        classify_vertex_n3([1] * 16)
+
+
 def test_violation_census_matches_known_table(labeled_vertices, chsh3_orbit, i3322_orbit):
     result = violation_census(labeled_vertices, chsh3_orbit, i3322_orbit)
     assert result.total == 1344

@@ -150,6 +150,16 @@ def test_pure_deterministic_strategy():
     assert strategy_behavior(s) == deterministic_point(Scenario(2), (0, 1), (0, 0))
 
 
+def test_deterministic_point_refuses_what_is_not_an_output_bit():
+    # 1 - int(u) gave Alice the marginal -4 for bit 5 and 2 for bit -1, and read 0.5 as 0
+    for bad in (5, -1, 0.5, True):
+        with pytest.raises(ValueError):
+            deterministic_point(Scenario(2), (bad, 0), (0, 0))
+        with pytest.raises(ValueError):
+            deterministic_point(Scenario(2), (0, 0), (0, bad))
+    assert deterministic_point(Scenario(2), (1, 0), (0, 1)).alice == (0, 1)
+
+
 def test_mixed_strategy_has_one_deterministic_row_and_column():
     s = WiringStrategy(
         pr_box(),
@@ -490,6 +500,42 @@ def test_machine_resistant_maximizers_are_pinned(n):
     if n == 5:
         # the head bound skips 25 of the 100 two-setting heads
         assert state.visited == 75
+
+
+# sha256 of the concatenated int8 blocks of distinct star rows, recorded when
+# the stream was built outside `DecoupledMax`; the last case cuts M4422's 824
+# attaining vectors into batches of two
+STAR_ROW_DIGESTS = {
+    "M3322": (lambda: (make_mnn22(3), pr_box()), None,
+              "7ccd45a2451bee069be90dfd42fe75bec0397a78273bd2ee5b015828e4d55da7"),
+    "M4422": (lambda: (make_mnn22(4), pr_machine(3)), None,
+              "601517c06a795af17f517d367f092d58198daf0a865734fa3be94bbdd146f7aa"),
+    "M5522": (lambda: (make_mnn22(5), pr_machine(4)), None,
+              "8320ac0a62b31d3167c329d1624995ecfd7cb88edefddbfecfecf9fff4476873"),
+    "M4422-relabeled": (lambda: (transform(make_mnn22(4), random_element(4, random.Random(1))), pr_machine(3)), None,
+                        "eb6d8a856d2bd98819c999cc097b5502c77169281be245023aec372d88f038a9"),
+    "I3322-relabeled": (lambda: (transform(make_inn22(3), random_element(3, random.Random(2))), pr_box()), None,
+                        "0e47a6d2fa410b878e9366f73a1d55cc6891243d8dcc1ca38641ecd93bbd3755"),
+    "I4422-local": (lambda: (make_inn22(4), None), None,
+                    "1b64bcdf1091ad430ace1399277a7df834b676568319ef65d7e6fccccd39a2d5"),
+    "CHSH3-local": (lambda: (make_chsh(3), None), None,
+                    "c4940eb380aba7891e7492c2973f6bbc64b9a74cf1f0004790230a8dea60633c"),
+    "M4422-batch-64": (lambda: (make_mnn22(4), pr_machine(3)), 64,
+                       "8c2c6aa091aa6dc65ef47952f33278a7eda36d6a1fb47921dcb6d9ac2bac77a9"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STAR_ROW_DIGESTS))
+def test_star_rows_are_pinned(monkeypatch, case):
+    build, batch, digest = STAR_ROW_DIGESTS[case]
+    if batch is not None:
+        monkeypatch.setattr(strategies, "STREAM_BATCH", batch)
+    f, machine = build()
+    blocks = list(DecoupledMax(f, machine).star_rows())
+    assert all(block.dtype == np.int8 for block in blocks)
+    rows = np.concatenate(blocks)
+    assert len(np.unique(rows, axis=0)) == len(rows)
+    assert hashlib.sha256(b"".join(block.tobytes() for block in blocks)).hexdigest() == digest
 
 
 @pytest.mark.parametrize("chunk", [CHUNK_VECTORS, 6])
