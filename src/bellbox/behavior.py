@@ -257,14 +257,23 @@ def as_integer(value, what: str = "coefficient") -> int:
     raise ValueError(f"{what} {value!r} is not an integer")
 
 
+def json_object(doc, kind: str, *fields: str):
+    """Refuse, with a ValueError naming `kind`, a document that is not a JSON object with all of `fields`."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"a {kind} document is a JSON object")
+    for field in fields:
+        if field not in doc:
+            raise ValueError(f'{kind} document has no "{field}" field')
+
+
 def json_tables(doc, kind: str) -> tuple:
     """`(n, alice, bob, joint)` of a behavior or functional document, shapes checked.
 
-    A document that is not an object, an "n" that is not an integer, or
-    tables that are not lists ("joint" a list of rows) raise ValueError.
+    A document that is not an object or lacks one of these fields, an "n"
+    that is not an integer, or tables that are not lists ("joint" a list of
+    rows) raise ValueError.
     """
-    if not isinstance(doc, dict):
-        raise ValueError(f"a {kind} document is a JSON object")
+    json_object(doc, kind, "n", "alice", "bob", "joint")
     tables = (doc["alice"], doc["bob"], doc["joint"])
     if not all(isinstance(t, list) for t in tables) or not all(isinstance(r, list) for r in doc["joint"]):
         raise ValueError('"alice", "bob" and "joint" must be lists, and "joint" a list of rows')

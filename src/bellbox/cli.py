@@ -15,7 +15,8 @@ import re
 import sys
 from fractions import Fraction
 
-from . import behavior, functionals, machines, polytope, quantum, strategies
+# the other modules, and numpy with them, load inside the handlers that use them
+from . import behavior, functionals
 
 
 class _Parser(argparse.ArgumentParser):
@@ -55,6 +56,8 @@ def parse_ineq_token(token: str) -> functionals.BellFunctional:
 
 
 def parse_strategy_class(token: str):
+    from . import machines
+
     t = token.lower()
     if t == "local":
         return "local"
@@ -115,13 +118,60 @@ def _emit(text: str, path):
 
 
 def _emit_list(docs, path):
-    """Write the JSON list `_dump(list(docs))` would, one document at a time."""
+    """Write the JSON list `_dump(list(docs))` would, one document at a time.
+
+    Documents with one outline (keys, list lengths and nesting) share their
+    text but for the scalars, so `_dump` renders each outline once, as a
+    %-template with a slot per scalar, and json's C encoder writes each
+    document's scalars in one call.
+    """
+    templates = {}
     with open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout) as fh:
         head = "[\n  "
         for doc in docs:
-            fh.write(head + _dump(doc).replace("\n", "\n  "))
+            scalars = []
+            outline = _outline(doc, scalars)
+            if outline not in templates:
+                text = _dump(_skeleton(outline)).replace("\n", "\n  ")
+                templates[outline] = text.replace("%", "%%").replace(_dump(_SLOT), "%s")
+            encoded = _SCALARS.encode(scalars)[1:-1].split(_SLOT) if scalars else ()
+            fh.write(head + templates[outline] % tuple(encoded))
             head = ",\n  "
         fh.write("[]\n" if head == "[\n  " else "\n]\n")
+
+
+# json escapes control characters inside strings, so a bare "\0" in its
+# output can only be a separator
+_SLOT = "\0"
+_SCALARS = json.JSONEncoder(separators=(_SLOT, ":"))
+_SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
+
+
+def _outline(value, scalars: list):
+    """A hashable outline of a JSON value; its scalars go to `scalars` in the order json writes them.
+
+    A list of plain scalars, the common case, is outlined by its length alone.
+    """
+    if isinstance(value, dict):
+        return dict, tuple(value), tuple([_outline(v, scalars) for v in value.values()])
+    if isinstance(value, (list, tuple)):
+        if _SCALAR_TYPES.issuperset(map(type, value)):
+            scalars.extend(value)
+            return list, len(value)
+        return list, tuple([_outline(v, scalars) for v in value])
+    scalars.append(value)
+    return None
+
+
+def _skeleton(outline):
+    """The JSON value an outline describes, with `_SLOT` for every scalar."""
+    if outline is None:
+        return _SLOT
+    if outline[0] is dict:
+        return dict(zip(outline[1], map(_skeleton, outline[2])))
+    if isinstance(outline[1], int):
+        return [_SLOT] * outline[1]
+    return [_skeleton(v) for v in outline[1]]
 
 
 def _load_json(path) -> dict:
@@ -162,6 +212,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_machine(args) -> int:
+    from . import machines
+
     if args.action == "recipe":
         machine = machines.recipe(_load_functional(args))
     elif args.action == "wire":
@@ -188,6 +240,8 @@ def _cmd_machine(args) -> int:
 
 
 def _cmd_enum_local(args) -> int:
+    from . import strategies
+
     scenario = behavior.Scenario(args.n)
     if args.count:
         strategies.check_cap(args.n, args.cap)
@@ -199,6 +253,8 @@ def _cmd_enum_local(args) -> int:
 
 
 def _cmd_enum_ns(args) -> int:
+    from . import polytope
+
     if args.n not in (2, 3, 4):
         raise ValueError("non-local vertex enumeration is available for n = 2, 3 or 4")
     if args.classify and args.n == 4:
@@ -225,6 +281,8 @@ def _cmd_enum_ns(args) -> int:
 
 
 def _cmd_census(args) -> int:
+    from . import polytope
+
     chsh_orbit = sorted(
         functionals.orbit(functionals.make_chsh(3)),
         key=functionals.BellFunctional.table_key,
@@ -243,6 +301,8 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_verify_facet(args) -> int:
+    from . import polytope, strategies
+
     f = _load_functional(args)
     cls = parse_strategy_class(args.strategy_class)
     cert = polytope.verify_facet(f, cls, max_strategies=args.max_strategies)
@@ -264,6 +324,8 @@ def _cmd_verify_facet(args) -> int:
 
 
 def _cmd_lemma1(args) -> int:
+    from . import polytope
+
     report = polytope.check_lemma1(
         args.n, samples=args.samples, seed=args.seed, raise_on_counterexample=False
     )
@@ -280,6 +342,8 @@ def _cmd_lemma1(args) -> int:
 
 
 def _cmd_quantum(args) -> int:
+    from . import quantum
+
     f = _load_functional(args)
     if args.action == "seesaw":
         result = quantum.seesaw_maximize(

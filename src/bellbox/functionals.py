@@ -14,18 +14,21 @@ flips on either side, and the party swap; its order is 2 * (N!)^2 * 2^(2N).
 Output flips act affinely, so each element is one integer affine matrix on
 `[coords, 1]` (`SymmetryElement.affine_matrix`).  Points move by that matrix;
 a functional's coefficient row moves by the inverse's matrix, which can give
-it a constant term; and orbits close over integer coefficient rows.
+it a constant term; and orbits close over integer coefficient rows.  Only
+this group code uses numpy, and it imports numpy on first use, so the tables
+and the named families load without it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .behavior import BehaviorPoint, Scenario, as_integer, json_tables
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -49,6 +52,17 @@ class BellFunctional:
         object.__setattr__(self, "bob", bob)
         object.__setattr__(self, "joint", joint)
         object.__setattr__(self, "constant", as_integer(self.constant, "constant"))
+
+    @classmethod
+    def _trusted(cls, scenario: Scenario, alice: tuple, bob: tuple, joint: tuple, constant: int) -> "BellFunctional":
+        """A functional from int tuples already known to fit the scenario, unchecked."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "scenario", scenario)
+        object.__setattr__(f, "alice", alice)
+        object.__setattr__(f, "bob", bob)
+        object.__setattr__(f, "joint", joint)
+        object.__setattr__(f, "constant", constant)
+        return f
 
     def evaluate(self, point: BehaviorPoint):
         """Inner product with a behavior plus the constant term.
@@ -235,6 +249,8 @@ def _check_perm(perm, n):
 
 def _party_matrix(perm, flips) -> np.ndarray:
     """One party's (N+1)x(N+1) factor of `SymmetryElement.affine_matrix`."""
+    import numpy as np
+
     n = len(perm)
     m = np.zeros((n + 1, n + 1), dtype=np.int64)
     m[0, 0] = 1
@@ -243,11 +259,11 @@ def _party_matrix(perm, flips) -> np.ndarray:
     return m
 
 
-def _from_vector(scenario: Scenario, row) -> BellFunctional:
-    """Inverse of `BellFunctional.coefficient_vector`."""
+def _from_vector(scenario: Scenario, row: list) -> BellFunctional:
+    """Inverse of `BellFunctional.coefficient_vector`, for a list of Python ints of the right length."""
     n = scenario.n_settings
     joint = tuple(tuple(row[k : k + n]) for k in range(2 * n, n * (n + 2), n))
-    return BellFunctional(scenario, tuple(row[:n]), tuple(row[n : 2 * n]), joint, row[-1])
+    return BellFunctional._trusted(scenario, tuple(row[:n]), tuple(row[n : 2 * n]), joint, row[-1])
 
 
 @dataclass(frozen=True)
@@ -301,6 +317,8 @@ class SymmetryElement:
         reads its source setting, or 1 minus it on a flipped slot.  M is
         L_A (x) L_B with Q's entries placed at their coordinate positions.
         """
+        import numpy as np
+
         n = self.n_settings
         d = n * (n + 2)
         table = np.block([[d, np.arange(n, 2 * n)], [np.arange(n)[:, None], np.arange(2 * n, d).reshape(n, n)]])
@@ -326,6 +344,8 @@ class SymmetryElement:
         `f.evaluate(g.inverse().apply_to_point(S))`, so the coefficient row
         is `[coeffs, constant] @ affine_matrix(g.inverse())`.
         """
+        import numpy as np
+
         if f.scenario.n_settings != self.n_settings:
             raise ValueError("scenario mismatch")
         row = np.asarray(f.coefficient_vector(), dtype=object) @ self.inverse().affine_matrix()
@@ -411,6 +431,8 @@ def unseen_rows(rows: np.ndarray, seen: set) -> list:
     void rows and is ~30x slower.  The new keys are found by one set
     difference, so a block with none costs no Python loop.
     """
+    import numpy as np
+
     keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel().tolist()
     new = set(keys).difference(seen)
     if not new:
@@ -434,6 +456,8 @@ def orbit(f: BellFunctional) -> set:
     No entry of a moved member exceeds (d+1) times the coefficients' sum of
     absolute values, so a functional past that bound is refused, not wrapped.
     """
+    import numpy as np
+
     row = f.coefficient_vector()
     if len(row) * sum(map(abs, row)) >= 2**63:
         raise ValueError("coefficients too large for an exact int64 orbit closure")

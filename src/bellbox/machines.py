@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .behavior import BehaviorPoint, Scenario, as_integer, from_half_units
+from .behavior import BehaviorPoint, Scenario, as_integer, from_half_units, json_object
 from .functionals import BellFunctional, make_inn22
 
 
@@ -196,8 +196,7 @@ def _json_rows(doc: dict, key: str, width: int | None = None) -> list:
 
 def machine_from_json_dict(doc: dict) -> MachineSpec:
     """Parse a machine document; a malformed one raises ValueError."""
-    if not isinstance(doc, dict):
-        raise ValueError("a machine document is a JSON object")
+    json_object(doc, "machine", "n_inputs", "anticorrelated")
     return MachineSpec(doc["n_inputs"], _json_rows(doc, "anticorrelated", 2))
 
 
@@ -207,6 +206,5 @@ def wiring_to_json_dict(w: WiringTable) -> dict:
 
 def wiring_from_json_dict(doc: dict) -> WiringTable:
     """Parse a wiring document; a malformed one raises ValueError."""
-    if not isinstance(doc, dict):
-        raise ValueError("a wiring document is a JSON object")
+    json_object(doc, "wiring", "alice", "bob")
     return WiringTable(_json_rows(doc, "alice"), _json_rows(doc, "bob"))

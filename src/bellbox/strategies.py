@@ -37,7 +37,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .behavior import BehaviorPoint, Scenario, as_integer, from_half_units
+from .behavior import BehaviorPoint, Scenario, as_integer, from_half_units, json_object
 from .functionals import BellFunctional, unseen_rows
 from .machines import MachineSpec
 
@@ -133,8 +133,9 @@ def strategy_from_json_dict(doc: dict) -> WiringStrategy:
     """Parse a strategy document; a malformed one raises ValueError."""
     from .machines import machine_from_json_dict
 
-    if not isinstance(doc, dict) or not all(isinstance(doc[k], list) for k in ("alice", "bob")):
-        raise ValueError('a strategy document is a JSON object with "alice" and "bob" lists')
+    json_object(doc, "strategy", "machine", "alice", "bob")
+    if not all(isinstance(doc[k], list) for k in ("alice", "bob")):
+        raise ValueError('"alice" and "bob" must be lists of option names')
     machine = None if doc["machine"] is None else machine_from_json_dict(doc["machine"])
     return WiringStrategy(
         machine,
@@ -253,7 +254,7 @@ def enumerate_one_machine(scenario: Scenario, machine: MachineSpec, cap: int | N
     codes = range(alphabet_size(machine))
     for alice in itertools.product(codes, repeat=n):
         for bob in itertools.product(codes, repeat=n):
-            yield WiringStrategy(machine, alice, bob)
+            yield WiringStrategy._trusted(machine, alice, bob)
 
 
 # ---------------------------------------------------------------------------

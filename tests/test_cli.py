@@ -82,7 +82,7 @@ def test_enum_local_count(capsys):
 
 
 def test_enum_local_count_builds_no_points(capsys, monkeypatch):
-    monkeypatch.setattr(cli.strategies, "enumerate_local", None)
+    monkeypatch.setattr("bellbox.strategies.enumerate_local", None)
     code, out, _ = run(capsys, "enum-local", "--n", "7", "--cap", "7", "--count")
     assert code == 0
     assert out == "16384\n"
@@ -220,6 +220,19 @@ def test_json_lists_are_written_one_document_at_a_time(tmp_path, capsys, count):
     assert path.read_text() == expected
 
 
+def test_json_lists_share_templates_but_not_scalars(capsys):
+    # one outline repeats with other scalars; slot and format characters stay literal
+    docs = [
+        {"class": "S1", "alice": ["1/2", "0"], "n": 2},
+        {"class": "%s\0,\"]", "alice": ["%%", "é"], "n": 3},
+        {"class": None, "alice": [1.5, float("nan")], "n": True},
+        {"%s": [{"k": [[], {}]}, ("a", -0.0)], "": {}},
+        [], {}, "%d", 2**70,
+    ]
+    cli._emit_list(iter(docs), None)
+    assert capsys.readouterr().out == json.dumps(docs, indent=2) + "\n"
+
+
 def test_usage_errors_exit_one(capsys):
     code, _, err = run(capsys, "gen", "--family", "zzz", "--n", "3")
     assert code == 1
@@ -277,6 +290,39 @@ def test_machine_rejects_bad_json_with_one_error_line(tmp_path, capsys, action, 
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, "machine", action, flag, str(path))
     assert_one_line_error(code, err)
+    assert out == ""
+
+
+@pytest.mark.parametrize("target, missing", [("functional", "joint"), ("behavior", "joint"), ("behavior", "n")])
+def test_eval_names_a_missing_field(tmp_path, capsys, target, missing):
+    docs = {
+        "functional": functional_to_json_dict(make_chsh(2)),
+        "behavior": to_json_dict(machine_behavior(pr_box())),
+    }
+    del docs[target][missing]
+    for name, doc in docs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    code, out, err = run(
+        capsys, "eval",
+        "--functional", str(tmp_path / "functional.json"),
+        "--behavior", str(tmp_path / "behavior.json"),
+    )
+    assert_one_line_error(code, err)
+    assert f'{target} document has no "{missing}" field' in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("action, flag, doc, message", [
+    ("check", "--machine", to_json_dict(machine_behavior(pr_box())), 'machine document has no "n_inputs" field'),
+    ("check", "--machine", {"n_inputs": 3}, 'machine document has no "anticorrelated" field'),
+    ("wire", "--wiring", {"alice": [[0], [1]]}, 'wiring document has no "bob" field'),
+])
+def test_machine_names_a_missing_field(tmp_path, capsys, action, flag, doc, message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "machine", action, flag, str(path))
+    assert_one_line_error(code, err)
+    assert message in err
     assert out == ""
 
 

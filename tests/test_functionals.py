@@ -306,6 +306,15 @@ def test_orbit_members_stay_tight_locally(chsh3_orbit):
     assert brute_local_max(member) == 0
 
 
+def test_orbit_members_equal_validated_constructions(i3322_orbit):
+    # orbit and transform build their members unchecked, from int rows
+    rng = random.Random(3)
+    moved = [transform(make_mnn22(3), random_element(3, rng)) for _ in range(20)]
+    for f in i3322_orbit + moved:
+        assert all(type(v) is int for v in f.coefficient_vector())
+        assert BellFunctional(f.scenario, f.alice, f.bob, f.joint, f.constant) == f
+
+
 def test_affine_matrix_is_a_group_homomorphism():
     rng = random.Random(2024)
     for n in (2, 3, 4, 5):

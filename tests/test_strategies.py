@@ -237,6 +237,11 @@ def test_one_machine_enumeration_counts():
         next(enumerate_one_machine(Scenario(7), pr_box()))
 
 
+def test_enumerated_strategies_equal_validated_constructions():
+    for s in enumerate_one_machine(Scenario(2), pr_box()):
+        assert WiringStrategy(s.machine, s.alice, s.bob) == s
+
+
 def test_enumeration_contains_the_deterministic_subset():
     seen = {
         s.alice + s.bob
