@@ -259,21 +259,17 @@ def _cmd_enum_ns(args) -> int:
         raise ValueError("non-local vertex enumeration is available for n = 2, 3 or 4")
     if args.classify and args.n == 4:
         raise ValueError("vertex classes are defined for n = 2 (PR) and n = 3 (S1..S4) only")
+    rows = polytope.ns_vertex_rows(args.n)
     if args.count:
-        _emit(str(len(polytope.ns_vertex_rows(args.n))), args.output)
+        _emit(str(len(rows)), args.output)
         return 0
-    if args.n == 3:
-        labeled = polytope.enumerate_ns_vertices_n3()
-    else:
-        scenario = behavior.Scenario(args.n)
-        rows = polytope.ns_vertex_rows(args.n)
-        labeled = ((behavior.from_half_units(scenario, r.tolist()), "PR") for r in rows)
+    scenario = behavior.Scenario(args.n)
 
     def docs():
-        for point, label in labeled:
-            doc = behavior.to_json_dict(point)
+        for row in rows.tolist():
+            doc = behavior.to_json_dict(behavior.from_half_units(scenario, row))
             if args.classify:
-                doc["class"] = label
+                doc["class"] = polytope.classify_vertex_n3(row) if args.n == 3 else "PR"
             yield doc
 
     _emit_list(docs(), args.output)
@@ -283,14 +279,9 @@ def _cmd_enum_ns(args) -> int:
 def _cmd_census(args) -> int:
     from . import polytope
 
-    chsh_orbit = sorted(
-        functionals.orbit(functionals.make_chsh(3)),
-        key=functionals.BellFunctional.table_key,
-    )
-    i_orbit = sorted(
-        functionals.orbit(functionals.make_inn22(3)),
-        key=functionals.BellFunctional.table_key,
-    )
+    # the counts do not depend on facet order
+    chsh_orbit = functionals.orbit(functionals.make_chsh(3))
+    i_orbit = functionals.orbit(functionals.make_inn22(3))
     labeled = polytope.enumerate_ns_vertices_n3()
     result = polytope.violation_census(labeled, chsh_orbit, i_orbit)
     if args.format == "json":
@@ -317,7 +308,7 @@ def _cmd_verify_facet(args) -> int:
         "truncated": cert.truncated,
         "accepted": cert.accepted,
     }
-    if cert.max_value > 0 and isinstance(cert.witness, strategies.WiringStrategy):
+    if cert.max_value > 0:
         doc["witness"] = strategies.strategy_to_json_dict(cert.witness)
     _emit(_dump(doc), args.output)
     return 0 if cert.accepted else 2

@@ -14,15 +14,18 @@ flips on either side, and the party swap; its order is 2 * (N!)^2 * 2^(2N).
 Output flips act affinely, so each element is one integer affine matrix on
 `[coords, 1]` (`SymmetryElement.affine_matrix`).  Points move by that matrix;
 a functional's coefficient row moves by the inverse's matrix, which can give
-it a constant term; and orbits close over integer coefficient rows.  Only
-this group code uses numpy, and it imports numpy on first use, so the tables
-and the named families load without it.
+it a constant term.  Orbits are built one party factor at a time over the
+integer coefficient tables (`orbit`).  Only this group code uses numpy, and
+it imports numpy on first use, so the tables and the named families load
+without it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations, product
+from math import factorial
 from typing import TYPE_CHECKING, Sequence
 
 from .behavior import BehaviorPoint, Scenario, as_integer, json_tables
@@ -259,6 +262,14 @@ def _party_matrix(perm, flips) -> np.ndarray:
     return m
 
 
+def _table_positions(n: int) -> np.ndarray:
+    """`coefficient_vector` index of each entry of the table [[constant, bob], [alice, joint]]."""
+    import numpy as np
+
+    d = n * (n + 2)
+    return np.block([[d, np.arange(n, 2 * n)], [np.arange(n)[:, None], np.arange(2 * n, d).reshape(n, n)]])
+
+
 def _from_vector(scenario: Scenario, row: list) -> BellFunctional:
     """Inverse of `BellFunctional.coefficient_vector`, for a list of Python ints of the right length."""
     n = scenario.n_settings
@@ -319,11 +330,9 @@ class SymmetryElement:
         """
         import numpy as np
 
-        n = self.n_settings
-        d = n * (n + 2)
-        table = np.block([[d, np.arange(n, 2 * n)], [np.arange(n)[:, None], np.arange(2 * n, d).reshape(n, n)]])
+        table = _table_positions(self.n_settings)
         source = table.T if self.party_swap else table
-        m = np.empty((d + 1, d + 1), dtype=np.int64)
+        m = np.empty((table.size, table.size), dtype=np.int64)
         m[np.ix_(table.ravel(), source.ravel())] = np.kron(
             _party_matrix(self.alice_perm, self.alice_flips), _party_matrix(self.bob_perm, self.bob_flips)
         )
@@ -391,27 +400,7 @@ def transform_point(point: BehaviorPoint, g: SymmetryElement) -> BehaviorPoint:
 
 
 def group_order(n: int) -> int:
-    fact = 1
-    for k in range(2, n + 1):
-        fact *= k
-    return 2 * fact * fact * (2 ** (2 * n))
-
-
-def group_generators(n: int) -> list:
-    """Adjacent setting transpositions, single output flips, and the party swap."""
-    ident = tuple(range(n))
-    zeros = (0,) * n
-    gens = [SymmetryElement(ident, ident, zeros, zeros, True)]
-    for k in range(n - 1):
-        t = list(ident)
-        t[k], t[k + 1] = t[k + 1], t[k]
-        gens.append(SymmetryElement(tuple(t), ident, zeros, zeros, False))
-        gens.append(SymmetryElement(ident, tuple(t), zeros, zeros, False))
-    for k in range(n):
-        flip = tuple(1 if i == k else 0 for i in range(n))
-        gens.append(SymmetryElement(ident, ident, flip, zeros, False))
-        gens.append(SymmetryElement(ident, ident, zeros, flip, False))
-    return gens
+    return 2 * factorial(n) ** 2 * 4**n
 
 
 def random_element(n: int, rng) -> SymmetryElement:
@@ -449,25 +438,42 @@ def unseen_rows(rows: np.ndarray, seen: set) -> list:
 
 
 def orbit(f: BellFunctional) -> set:
-    """Closure of {f} under the full relabeling group (party swap included).
+    """All relabelings of f, the orbit under the full group (party swap included).
 
-    The closure runs over int64 coefficient rows: a generator moves a row
-    by the affine matrix of its inverse, all generators in one product.
-    No entry of a moved member exceeds (d+1) times the coefficients' sum of
-    absolute values, so a functional past that bound is refused, not wrapped.
+    On the bordered coefficient table F = [[constant, bob], [alice, joint]]
+    a relabeling acts as F -> L_A^T F L_B, with each party's L from
+    `_party_matrix`, and the party swap transposes F.  Each L is a flip
+    pattern times a permutation, so the orbit comes from five factors in
+    turn: Alice's flips and permutations, Bob's (Alice's, on the transposed
+    tables) and the swap, each one batched int64 product over the distinct
+    tables so far.  Every table on the way is an orbit member, and none has
+    an entry above (d+1) times the coefficients' sum of absolute values, so
+    a functional past that bound is refused, not wrapped.
     """
     import numpy as np
 
+    n = f.scenario.n_settings
     row = f.coefficient_vector()
     if len(row) * sum(map(abs, row)) >= 2**63:
-        raise ValueError("coefficients too large for an exact int64 orbit closure")
-    acts = np.hstack([g.inverse().affine_matrix() for g in group_generators(f.scenario.n_settings)])
-    rows = np.asarray([row], dtype=np.int64)
-    seen, found = set(), []
-    while len(rows):
-        found.append(rows[unseen_rows(rows, seen)])
-        rows = (found[-1] @ acts).reshape(-1, acts.shape[0])
-    return {_from_vector(f.scenario, row) for row in np.concatenate(found).tolist()}
+        raise ValueError("coefficients too large for an exact int64 orbit")
+    at = _table_positions(n)
+    tables = np.asarray(row, dtype=np.int64)[at][None]
+    ident = tuple(range(n))
+    flips = np.stack([_party_matrix(ident, bits) for bits in product((0, 1), repeat=n)])
+    perms = np.stack([_party_matrix(perm, (0,) * n) for perm in permutations(ident)])
+
+    def distinct(moved):
+        flat = moved.reshape(-1, (n + 1) ** 2)
+        return flat[unseen_rows(flat, set())].reshape(-1, n + 1, n + 1)
+
+    for _ in range(2):  # Alice's side, then Bob's as Alice's side of the transposes
+        for factor in (flips, perms):
+            tables = distinct(factor.transpose(0, 2, 1)[:, None] @ tables)
+        tables = tables.transpose(0, 2, 1)
+    tables = distinct(np.stack([tables, tables.transpose(0, 2, 1)]))
+    rows = np.empty((len(tables), len(row)), dtype=np.int64)
+    rows[:, at.ravel()] = tables.reshape(len(tables), -1)
+    return {_from_vector(f.scenario, r) for r in rows.tolist()}
 
 
 def canonical_form(f: BellFunctional) -> BellFunctional:

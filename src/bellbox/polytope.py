@@ -34,10 +34,10 @@ from .functionals import BellFunctional, make_c1, make_c2, make_chsh, make_inn22
 from .machines import MachineSpec, gf2_rank, machine_behavior, pr_machine
 from .strategies import (
     DecoupledMax,
+    WiringStrategy,
     deterministic_point,
     half_rows,
     one_machine_half_matrix,
-    strategy_behavior,
 )
 
 
@@ -188,7 +188,7 @@ class FacetCertificate:
     strategy_class: str
     machine: MachineSpec | None
     max_value: Fraction
-    witness: object
+    witness: WiringStrategy
     affine_rank: int
     n_saturating: int
     n_deterministic: int
@@ -216,9 +216,9 @@ def verify_facet(
     """Certify tightness and affine rank of `f` over a strategy class.
 
     `strategy_class` is the string "local" or a `MachineSpec` for the
-    one-machine class; the local witness is a `BehaviorPoint`, a box one a
-    `WiringStrategy`.  The maximum and the numbers of saturating and of
-    deterministic saturating strategies are exact.  When the maximum is 0,
+    one-machine class; the witness is a `WiringStrategy` for both, with no
+    machine for the local class.  The maximum and the numbers of saturating
+    and of deterministic saturating strategies are exact.  When the maximum is 0,
     the affine rank is that of the distinct behaviors of `DecoupledMax.star_rows`
     (first `SATURATING_POINTS_CAP` kept), which span the saturating set's
     affine hull.  It stops at the highest rank that set can have: N(N+2)-1
@@ -260,13 +260,12 @@ def verify_facet(
             if left:
                 truncated = True
                 break
-    witness = state.witness()
     return FacetCertificate(
         functional=f,
         strategy_class="local" if machine is None else "one_machine",
         machine=machine,
         max_value=state.value,
-        witness=strategy_behavior(witness) if machine is None else witness,
+        witness=state.witness(),
         affine_rank=basis.rank,
         n_saturating=state.n_attaining if state.max2 == 0 else 0,
         n_deterministic=state.n_deterministic if state.max2 == 0 else 0,

@@ -33,6 +33,11 @@ from .functionals import BellFunctional
 
 _NORM_TOL = 1e-12
 
+# a see-saw restart stops on the first step that gains less than SEESAW_TOL,
+# or after SEESAW_MAX_ITERATIONS steps without converging
+SEESAW_TOL = 1e-10
+SEESAW_MAX_ITERATIONS = 500
+
 # identity, then sigma_x, sigma_y, sigma_z
 _PAULI = np.array(
     [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
@@ -214,8 +219,6 @@ def seesaw_maximize(
     state: TwoQubitState,
     restarts: int = 20,
     seed: int = 0,
-    tol: float = 1e-10,
-    max_iterations: int = 500,
     plane: str = "full",
 ) -> SeesawResult:
     """Best see-saw value over random restarts; a lower bound on the state's max.
@@ -226,7 +229,7 @@ def seesaw_maximize(
     n = f.scenario.n_settings
     forms = tuple(np.broadcast_to(x, (restarts, *x.shape)) for x in state.bloch_form())
     values, converged, iterations, vectors = _seesaw_rows(
-        f, forms, _starts(n, seed, restarts, plane), tol, max_iterations
+        f, forms, _starts(n, seed, restarts, plane), SEESAW_TOL, SEESAW_MAX_ITERATIONS
     )
     best = int(np.argmax(values))
     return SeesawResult(
@@ -253,8 +256,6 @@ def theta_sweep(
     grid: int = 100,
     restarts: int = 20,
     seed: int = 0,
-    tol: float = 1e-10,
-    max_iterations: int = 500,
     plane: str = "full",
     threads: int = 1,
 ) -> SweepResult:
@@ -274,7 +275,7 @@ def theta_sweep(
     per_point = [TwoQubitState.schmidt(theta).bloch_form() for theta in thetas]
     forms = tuple(np.repeat(np.array(x), restarts, axis=0) for x in zip(*per_point))
     starts = np.concatenate([_starts(n, seed + k, restarts, plane) for k in range(grid)])
-    values = _seesaw_rows(f, forms, starts, tol, max_iterations)[0]
+    values = _seesaw_rows(f, forms, starts, SEESAW_TOL, SEESAW_MAX_ITERATIONS)[0]
     values = values.reshape(grid, restarts).max(axis=1).tolist()
     best_idx = int(np.argmax(values))
     return SweepResult(

@@ -146,6 +146,22 @@ def test_verify_facet_rejects_with_exit_two(capsys):
     assert "witness" in doc
 
 
+def test_verify_facet_prints_the_local_witness(tmp_path, capsys):
+    from bellbox.strategies import strategy_behavior, strategy_from_json_dict
+
+    shifted = {**functional_to_json_dict(make_chsh(2)), "constant": 1}
+    fpath = tmp_path / "f.json"
+    fpath.write_text(json.dumps(shifted))
+    code, out, _ = run(capsys, "verify-facet", "--functional", str(fpath), "--class", "local")
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["max_value"] == "1"
+    witness = strategy_from_json_dict(doc["witness"])
+    assert witness.machine is None
+    value = cli.functional_from_json_dict(shifted).evaluate(strategy_behavior(witness))
+    assert str(value) == doc["max_value"]
+
+
 def test_inconclusive_verify_facet_prints_no_witness(capsys):
     # a truncated run at maximum 0 has no violating strategy to show
     code, out, _ = run(capsys, "verify-facet", "--ineq", "M5522", "--class", "box:pr:4",
@@ -404,6 +420,7 @@ EXACT_STDOUT = [
     (["enum-local", "--n", "3"], "b2a75008fd82c31565230508d3c2197ac2201718c24c1e57b60278418cec9ba9"),
     (["machine", "wire", "--prn", "4", "--format", "table"],
      "b19487900e297fc764762127788dda4ae890865b94d1d9cba47bc7cb720e268a"),
+    (["enum-ns", "--n", "3"], "60e862cdfce97346bccf4b604d63eb5cac7af7ef80a6fece1b44d054c05d1521"),
 ]
 
 

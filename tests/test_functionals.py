@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -12,7 +13,6 @@ from bellbox.functionals import (
     canonical_form,
     display_rows,
     functional_from_rows,
-    group_generators,
     group_order,
     make_c1,
     make_c2,
@@ -298,11 +298,11 @@ def test_orbit_membership_detects_equivalence(i3322_orbit):
 
 
 def test_orbit_members_stay_tight_locally(chsh3_orbit):
-    gens = group_generators(3)
     rng = random.Random(3)
     member = make_chsh(3)
     for _ in range(5):
-        member = gens[rng.randrange(len(gens))].apply_to_functional(member)
+        member = random_element(3, rng).apply_to_functional(member)
+    assert member in set(chsh3_orbit)
     assert brute_local_max(member) == 0
 
 
@@ -355,3 +355,27 @@ def test_orbit_is_pinned(maker, size, digest):
     rows = sorted(f.coefficient_vector() for f in orbit(maker(3)))
     assert len(rows) == size
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
+
+
+def all_elements(n):
+    perms = list(itertools.permutations(range(n)))
+    flips = list(itertools.product((0, 1), repeat=n))
+    for sa, sb, fa, fb, swap in itertools.product(perms, perms, flips, flips, (False, True)):
+        yield SymmetryElement(sa, sb, fa, fb, swap)
+
+
+def test_orbit_is_every_relabeling_applied():
+    rng = random.Random(14)
+    cases = [make_chsh(2)] + [random_functional(rng, 2) for _ in range(4)] + [make_chsh(3), make_mnn22(3)]
+    for f in cases:
+        elements = list(all_elements(f.scenario.n_settings))
+        assert len(elements) == group_order(f.scenario.n_settings)
+        assert orbit(f) == {transform(f, g) for g in elements}
+
+
+def test_four_setting_orbit_is_pinned():
+    rows = sorted(f.coefficient_vector() for f in orbit(make_mnn22(4)))
+    assert len(rows) == 147_456
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "71cd542999c2c41c0e48c6d16369ed7b482484da3e8e07125e848870b5ab27a4"
+    )

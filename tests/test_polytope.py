@@ -41,7 +41,7 @@ from bellbox.polytope import (
     verify_facet,
     violation_census,
 )
-from bellbox.strategies import deterministic_point, enumerate_local
+from bellbox.strategies import deterministic_point, enumerate_local, strategy_behavior
 
 HALF = Fraction(1, 2)
 
@@ -212,8 +212,6 @@ def test_strengthened_family_is_tight_but_not_a_local_facet():
 
 
 def test_rejected_certificate_carries_a_violating_witness():
-    from bellbox.strategies import strategy_behavior
-
     cert = verify_facet(make_inn22(3), pr_machine(3))
     assert cert.max_value == 1
     assert not cert.accepted
@@ -262,7 +260,7 @@ def test_locally_violated_functional_has_no_saturating_set():
     cert = verify_facet(shifted, "local")
     assert cert.max_value == 1
     assert (cert.n_saturating, cert.affine_rank, cert.saturating_points) == (0, 0, ())
-    assert shifted.evaluate(cert.witness) == 1
+    assert shifted.evaluate(strategy_behavior(cert.witness)) == 1
     assert not cert.accepted
 
 
