@@ -224,14 +224,12 @@ def _cmd_machine(args) -> int:
         else:
             raise ValueError("machine wire needs --wiring or --prn")
         machine = machines.wire_pr_boxes(wiring)
-    elif args.action == "check":
+    else:  # "check"; argparse allows no other action
         if not args.machine:
             raise ValueError("machine check needs --machine PATH")
         machine = machines.machine_from_json_dict(_load_json(args.machine))
         _emit(_dump({"pr3_formula": machines.pr3_formula_check(machine)}), args.output)
         return 0
-    else:
-        raise ValueError(f"unknown machine action {args.action!r}")
     if args.format == "table":
         _emit(behavior_table(machines.machine_behavior(machine)), args.output)
     else:

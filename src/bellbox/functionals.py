@@ -28,7 +28,7 @@ from itertools import permutations, product
 from math import factorial
 from typing import TYPE_CHECKING, Sequence
 
-from .behavior import BehaviorPoint, Scenario, as_integer, json_tables
+from .behavior import BehaviorPoint, Scenario, as_integer, json_tables, unchecked
 
 if TYPE_CHECKING:
     import numpy as np
@@ -55,17 +55,6 @@ class BellFunctional:
         object.__setattr__(self, "bob", bob)
         object.__setattr__(self, "joint", joint)
         object.__setattr__(self, "constant", as_integer(self.constant, "constant"))
-
-    @classmethod
-    def _trusted(cls, scenario: Scenario, alice: tuple, bob: tuple, joint: tuple, constant: int) -> "BellFunctional":
-        """A functional from int tuples already known to fit the scenario, unchecked."""
-        f = object.__new__(cls)
-        object.__setattr__(f, "scenario", scenario)
-        object.__setattr__(f, "alice", alice)
-        object.__setattr__(f, "bob", bob)
-        object.__setattr__(f, "joint", joint)
-        object.__setattr__(f, "constant", constant)
-        return f
 
     def evaluate(self, point: BehaviorPoint):
         """Inner product with a behavior plus the constant term.
@@ -274,7 +263,9 @@ def _from_vector(scenario: Scenario, row: list) -> BellFunctional:
     """Inverse of `BellFunctional.coefficient_vector`, for a list of Python ints of the right length."""
     n = scenario.n_settings
     joint = tuple(tuple(row[k : k + n]) for k in range(2 * n, n * (n + 2), n))
-    return BellFunctional._trusted(scenario, tuple(row[:n]), tuple(row[n : 2 * n]), joint, row[-1])
+    return unchecked(
+        BellFunctional, scenario=scenario, alice=tuple(row[:n]), bob=tuple(row[n : 2 * n]), joint=joint, constant=row[-1]
+    )
 
 
 @dataclass(frozen=True)

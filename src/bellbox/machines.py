@@ -63,6 +63,8 @@ def recipe(f: BellFunctional) -> MachineSpec:
 
 def pr_machine(n: int) -> MachineSpec:
     """The n-input box saturating the tight n-setting inequality family."""
+    if n < 2:
+        raise ValueError("machines need at least two inputs")
     return recipe(make_inn22(n))
 
 

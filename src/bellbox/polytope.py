@@ -25,13 +25,12 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 import numpy as np
 
 from .behavior import BehaviorPoint, Scenario, from_half_units, to_half_units, validate
 from .functionals import BellFunctional, make_c1, make_c2, make_chsh, make_inn22, make_mnn22, orbit
-from .machines import MachineSpec, gf2_rank, machine_behavior, pr_machine
+from .machines import MachineSpec, machine_behavior, pr_machine
 from .strategies import (
     DecoupledMax,
     WiringStrategy,
@@ -83,10 +82,6 @@ class IntRowBasis:
     def rank(self) -> int:
         k = self.complement
         return 0 if k is None else k.shape[1] - k.shape[0]
-
-    def add(self, vector) -> bool:
-        """Store the vector and return True if it is independent of the basis."""
-        return bool(self.add_rows([vector]))
 
     def add_rows(self, rows) -> list:
         """Add rows in order; return the indices of those independent of the rows before them."""
@@ -145,18 +140,6 @@ def affine_rank_halves(vectors) -> int:
     basis = IntRowBasis()
     basis.add_rows(rows[1:] - rows[0])
     return basis.rank
-
-
-def exact_affine_rank(points) -> int:
-    """Affine rank of exact behaviors, via one common denominator."""
-    pts = list(points)
-    if not pts:
-        return 0
-    den = 1
-    for p in pts:
-        for c in p.coords():
-            den = den * c.denominator // gcd(den, c.denominator)
-    return affine_rank_halves([[int(c * den) for c in p.coords()] for p in pts])
 
 
 # ---------------------------------------------------------------------------
@@ -422,40 +405,37 @@ def enumerate_nonlocal_vertices(n: int, machine: MachineSpec, facets) -> list:
     return [tuple(int(v) for v in row) for row in distinct[mask]]
 
 
-def _parity_residual_rank(halves, n: int) -> int:
-    """GF(2) rank of the joint parity pattern modulo row/column output flips."""
-    p = [[1 - halves[2 * n + i * n + j] for j in range(n)] for i in range(n)]
-    q = [
-        [p[i][j] ^ p[i][0] ^ p[0][j] ^ p[0][0] for j in range(1, n)]
-        for i in range(1, n)
-    ]
-    return gf2_rank(q) if q else 0
+# (deterministic settings of Alice, of Bob, GF(2) rank of the residual) -> class
+_VERTEX_CLASSES_N3 = {(1, 1, 1): "S2", (1, 0, 1): "S3", (0, 1, 1): "S3", (0, 0, 1): "S4", (0, 0, 2): "S1"}
 
 
 def classify_vertex_n3(halves) -> str:
-    """Shape class (S1..S4) of a three-setting non-local vertex.
+    """Class (S1..S4) of a three-setting non-local vertex, from its half block.
 
-    S2: one deterministic setting on each side; S3: one deterministic
-    setting on exactly one side; S1/S4: none, split by the GF(2) rank of
-    the flip-reduced joint parity pattern (2 needs the three-input box,
-    1 is reachable with a two-input box).
+    The residual is the one `nonlocal_vertex_mask` tests: the joint-0
+    pattern on the half block, each row xor the first half row and each
+    column xor the first half column.  The class is the table entry of the
+    numbers of deterministic settings and the residual's GF(2) rank: S2 has
+    one deterministic setting on each side, S3 one on exactly one side, and
+    S1/S4 none, with rank 2 (needs the three-input box) and 1 (reachable
+    with a two-input box).  A row that is not a non-local vertex has rank 0
+    and is refused.
     """
     n = 3
     if len(halves) != n * (n + 2):
         raise ValueError(f"a three-setting vertex has 15 coordinates, got {len(halves)}")
-    a_det = sum(1 for v in halves[:n] if v in (0, 2))
-    b_det = sum(1 for v in halves[n : 2 * n] if v in (0, 2))
-    if (a_det, b_det) == (1, 1):
-        return "S2"
-    if (a_det, b_det) in ((1, 0), (0, 1)):
-        return "S3"
-    if (a_det, b_det) == (0, 0):
-        rank = _parity_residual_rank(halves, n)
-        if rank == 2:
-            return "S1"
-        if rank == 1:
-            return "S4"
-    raise ValueError(f"vertex does not match any known class shape: {halves}")
+    half_a = [i for i in range(n) if halves[i] == 1]
+    half_b = [j for j in range(n) if halves[n + j] == 1]
+    # joint-0 bits of each half row on the half columns, the first one lowest
+    codes = [sum(1 << k for k, j in enumerate(half_b) if halves[2 * n + i * n + j] == 0) for i in half_a]
+    flip = (1 << len(half_b)) - 1
+    # at n <= 3 at most two residual rows are nonzero, so the rank is the
+    # number of distinct nonzero rows
+    residual = {c ^ codes[0] ^ (flip if (c ^ codes[0]) & 1 else 0) for c in codes}
+    label = _VERTEX_CLASSES_N3.get((n - len(half_a), n - len(half_b), len(residual - {0})))
+    if label is None:
+        raise ValueError(f"not a non-local vertex: {halves}")
+    return label
 
 
 def enumerate_ns_vertices_n3(facets=None) -> list:

@@ -65,6 +65,8 @@ class TwoQubitState:
     @classmethod
     def schmidt(cls, theta: float) -> "TwoQubitState":
         """cos(theta)|00> + sin(theta)|11>; theta = pi/4 is maximally entangled."""
+        if not math.isfinite(theta):
+            raise ValueError(f"theta must be finite, got {theta}")
         return cls((math.cos(theta), 0.0, 0.0, math.sin(theta)))
 
     def matrix(self) -> np.ndarray:

@@ -37,7 +37,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .behavior import BehaviorPoint, Scenario, as_integer, from_half_units, json_object
+from .behavior import BehaviorPoint, Scenario, as_integer, from_half_units, json_object, unchecked
 from .functionals import BellFunctional, unseen_rows
 from .machines import MachineSpec
 
@@ -101,15 +101,6 @@ class WiringStrategy:
                 raise ValueError(f"choice code {c} outside the option alphabet")
         object.__setattr__(self, "alice", alice)
         object.__setattr__(self, "bob", bob)
-
-    @classmethod
-    def _trusted(cls, machine: MachineSpec | None, alice: tuple, bob: tuple) -> "WiringStrategy":
-        """A strategy from int code tuples already known to be in range, unchecked."""
-        s = object.__new__(cls)
-        object.__setattr__(s, "machine", machine)
-        object.__setattr__(s, "alice", alice)
-        object.__setattr__(s, "bob", bob)
-        return s
 
     @property
     def n_settings(self) -> int:
@@ -254,7 +245,7 @@ def enumerate_one_machine(scenario: Scenario, machine: MachineSpec, cap: int | N
     codes = range(alphabet_size(machine))
     for alice in itertools.product(codes, repeat=n):
         for bob in itertools.product(codes, repeat=n):
-            yield WiringStrategy._trusted(machine, alice, bob)
+            yield unchecked(WiringStrategy, machine=machine, alice=alice, bob=bob)
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +466,8 @@ class DecoupledMax:
 
     def witness(self) -> WiringStrategy:
         """The lexicographically first strategy attaining the maximum."""
-        return WiringStrategy._trusted(self.machine, *next(self.attaining()))
+        alice, bob = next(self.attaining())
+        return unchecked(WiringStrategy, machine=self.machine, alice=alice, bob=bob)
 
 
 @dataclass(frozen=True)
@@ -501,7 +493,7 @@ def max_over_one_machine(
         raise ValueError(f"collect_cap must be at least 0, got {collect_cap}")
     state = DecoupledMax(f, machine)
     saturating = tuple(
-        WiringStrategy._trusted(machine, alice, bob)
+        unchecked(WiringStrategy, machine=machine, alice=alice, bob=bob)
         for alice, bob in itertools.islice(state.attaining(), collect_cap)
     )
     return OneMachineMaximum(

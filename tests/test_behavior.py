@@ -201,6 +201,11 @@ def test_json_roundtrip_float():
     ("joint", [0.25, 0.25]),
     ("n", 2.5),  # int() would truncate it to 2
     ("bob", [[0.5], 0.5]),  # float() of a list is a TypeError
+    ("alice", [True, 0.5]),  # float() would read it as 1.0
+    ("alice", ["0.5", 0.5]),  # float() would parse it
+    ("alice", [float("nan"), 0.5]),
+    ("alice", [float("inf"), 0.5]),
+    ("alice", [10**400, 0.5]),  # past the float range
 ])
 def test_json_shape_errors_are_value_errors(key, bad):
     doc = to_json_dict(BehaviorPoint(Scenario(2), (0.5, 0.5), (0.5, 0.5), ((0.25, 0.25), (0.25, 0.25))))
@@ -209,6 +214,13 @@ def test_json_shape_errors_are_value_errors(key, bad):
         from_json_dict(doc)
     with pytest.raises(ValueError):
         from_json_dict([doc])
+
+
+def test_a_non_finite_point_is_refused():
+    with pytest.raises(ValueError, match="finite"):
+        BehaviorPoint(Scenario(2), (float("nan"), 0.5), (0.5, 0.5), ((0.25, 0.25), (0.25, 0.25)))
+    with pytest.raises(ValueError, match="finite"):
+        BehaviorPoint(Scenario(2), (0.5, 0.5), (0.5, 0.5), ((0.25, 0.25), (0.25, float("inf"))))
 
 
 def test_float_validation_uses_slack():

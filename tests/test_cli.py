@@ -358,6 +358,32 @@ def test_non_finite_theta_exits_one(capsys):
     code, out, err = run(capsys, "quantum", "seesaw", "--ineq", "CHSH", "--theta", "nan")
     assert_one_line_error(code, err)
     assert out == ""
+    code, out, err = run(capsys, "quantum", "seesaw", "--ineq", "CHSH", "--theta", "inf")
+    assert_one_line_error(code, err)
+    assert "theta must be finite" in err
+    assert out == ""
+
+
+def test_a_one_input_box_exits_one(capsys):
+    code, out, err = run(capsys, "verify-facet", "--ineq", "CHSH", "--class", "box:pr:1")
+    assert_one_line_error(code, err)
+    assert "machines need at least two inputs" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "true", '"0.5"'])
+def test_eval_refuses_a_float_entry_that_is_not_a_finite_number(tmp_path, capsys, bad):
+    (tmp_path / "functional.json").write_text(json.dumps(functional_to_json_dict(make_chsh(2))))
+    (tmp_path / "behavior.json").write_text(
+        f'{{"backend": "float", "n": 2, "alice": [{bad}, 0.5], "bob": [0.5, 0.5], "joint": [[0.5, 0.5], [0.5, 0]]}}'
+    )
+    code, out, err = run(
+        capsys, "eval",
+        "--functional", str(tmp_path / "functional.json"),
+        "--behavior", str(tmp_path / "behavior.json"),
+    )
+    assert_one_line_error(code, err)
+    assert out == ""
 
 
 # sha256 of the full stdout of each verify-facet run.  M3322 local and

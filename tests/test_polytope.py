@@ -29,7 +29,6 @@ from bellbox.polytope import (
     doubled_values,
     enumerate_nonlocal_vertices,
     enumerate_ns_vertices_n3,
-    exact_affine_rank,
     half_integral_candidates,
     lemma1_identities,
     membership_by_facets,
@@ -52,33 +51,24 @@ HALF = Fraction(1, 2)
 
 def test_row_basis_counts_independent_rows():
     basis = IntRowBasis()
-    assert basis.add([1, 1, 0])
-    assert basis.add([0, 1, 1])
-    assert not basis.add([1, 2, 1])
-    assert basis.add([0, 0, 7])
+    assert basis.add_rows([[1, 1, 0]])
+    assert basis.add_rows([[0, 1, 1]])
+    assert not basis.add_rows([[1, 2, 1]])
+    assert basis.add_rows([[0, 0, 7]])
     assert basis.rank == 3
 
 
 def test_row_basis_handles_interleaved_pivots():
     basis = IntRowBasis()
-    assert basis.add([0, 1, 1])
-    assert basis.add([1, 1, 0])
-    assert not basis.add([1, 0, -1])
+    assert basis.add_rows([[0, 1, 1]])
+    assert basis.add_rows([[1, 1, 0]])
+    assert not basis.add_rows([[1, 0, -1]])
 
 
 def test_affine_rank_of_collinear_points_is_one():
     assert affine_rank_halves([[0, 0], [1, 1], [2, 2], [3, 3]]) == 1
     assert affine_rank_halves([[0, 0], [1, 0], [0, 1]]) == 2
     assert affine_rank_halves([]) == 0
-
-
-def test_exact_affine_rank_on_behaviors():
-    scen = Scenario(2)
-    a = deterministic_point(scen, (0, 0), (0, 0))
-    b = deterministic_point(scen, (1, 1), (1, 1))
-    mid = convex_combine([a, b], [HALF, HALF])
-    third = convex_combine([a, b], [Fraction(1, 3), Fraction(2, 3)])
-    assert exact_affine_rank([a, b, mid, third]) == 1
 
 
 def fraction_profile(rows) -> list:
@@ -123,7 +113,7 @@ def test_complement_basis_matches_fraction_elimination():
         assert basis.complement.dtype == np.int64
         # the same rows one at a time, and in two blocks
         single = IntRowBasis()
-        assert [i for i, row in enumerate(rows) if single.add(row)] == expected
+        assert [i for i, row in enumerate(rows) if single.add_rows([row])] == expected
         split = IntRowBasis()
         cut = len(rows) // 2
         added = split.add_rows(rows[:cut]) + [cut + i for i in split.add_rows(np.array(rows[cut:]))]
@@ -330,6 +320,20 @@ def test_two_input_box_embedded_point_is_class_s2(chsh3_orbit, i3322_orbit):
     assert (chsh_hits, i_hits) == (1, 8)
 
 
+def test_classify_vertex_n3_refuses_every_candidate_that_is_not_a_vertex():
+    rows = half_integral_candidates(3)
+    others = rows[~nonlocal_vertex_mask(rows, 3)].tolist()
+    assert len(others) == 1936
+    for row in others:
+        with pytest.raises(ValueError, match="not a non-local vertex"):
+            classify_vertex_n3(row)
+
+
+def test_class_counts_of_the_three_setting_vertices():
+    counts = Counter(classify_vertex_n3(row) for row in ns_vertex_rows(3).tolist())
+    assert counts == {"S1": 192, "S2": 288, "S3": 576, "S4": 288}
+
+
 def test_classify_vertex_n3_refuses_a_row_of_the_wrong_length():
     with pytest.raises(ValueError, match="got 8"):
         classify_vertex_n3([1] * 8)
@@ -393,7 +397,7 @@ def _tight_cell_rank(halves, n: int) -> int:
                 if ca * a + cb * b + cc * c + 2 * k == 0:
                     vec = [0] * (n * (n + 2))
                     vec[i], vec[n + j], vec[2 * n + i * n + j] = ca, cb, cc
-                    basis.add(vec)
+                    basis.add_rows([vec])
                     if basis.rank == n * (n + 2):
                         return basis.rank
     return basis.rank
