@@ -280,8 +280,9 @@ def _cmd_census(args) -> int:
     # the counts do not depend on facet order
     chsh_orbit = functionals.orbit(functionals.make_chsh(3))
     i_orbit = functionals.orbit(functionals.make_inn22(3))
-    labeled = polytope.enumerate_ns_vertices_n3()
-    result = polytope.violation_census(labeled, chsh_orbit, i_orbit)
+    rows = polytope.ns_vertex_rows(3)
+    labels = [polytope.classify_vertex_n3(row) for row in rows.tolist()]
+    result = polytope.census_rows(behavior.Scenario(3), rows, labels, chsh_orbit, i_orbit)
     if args.format == "json":
         _emit(_dump(result.to_json_dict()), args.output)
     else:

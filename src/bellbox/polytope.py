@@ -14,8 +14,8 @@ have rank N(N+2), which reduces to a parity test on its joint pattern
 `enumerate_nonlocal_vertices` answers a different question, which rows of
 the dense one-box table violate a facet.  The majorization lemma holds by
 exact cell identities (`lemma1_identities`); its seeded sampler mixes PR_n
-with local vertices, so it evaluates M, C1 and C2 as the same mixture of
-values computed once per vertex, when that vertex is first drawn.
+with local vertices in numpy blocks, each vertex evaluated from its drawn
+bits, and every draw a 32-bit word of `random.Random(seed).getrandbits`.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .behavior import BehaviorPoint, Scenario, from_half_units, to_half_units, validate
+from .behavior import BehaviorPoint, Scenario, as_integer, from_half_units, to_half_units, validate
 from .functionals import BellFunctional, make_c1, make_c2, make_chsh, make_inn22, make_mnn22, orbit
 from .machines import MachineSpec, machine_behavior, pr_machine
 from .strategies import (
@@ -490,32 +490,37 @@ class CensusResult:
 
 
 def violation_census(classified, chsh_facets, i3322_facets) -> CensusResult:
-    """Count violated CHSH-type and three-setting-type facets per vertex class.
-
-    Every member of a class must violate the same number of facets of each
-    type; any intra-class inconsistency signals an enumeration or orbit bug
-    and raises.
-    """
+    """`census_rows` of (point, class label) pairs, counted on the points' half-unit rows."""
     if not classified:
         return CensusResult(total=0, classes={})
     halves = np.asarray([to_half_units(p) for p, _ in classified], dtype=np.int64)
     labels = [label for _, label in classified]
-    chsh_counts = (doubled_values(halves, chsh_facets) > 0).sum(axis=1)
-    i_counts = (doubled_values(halves, i3322_facets) > 0).sum(axis=1)
+    return census_rows(classified[0][0].scenario, halves, labels, chsh_facets, i3322_facets)
+
+
+def census_rows(scenario: Scenario, rows, labels, chsh_facets, i3322_facets) -> CensusResult:
+    """Count violated facets of each type per class, from half-unit rows and their labels.
+
+    Every member of a class must violate the same number of facets of each
+    type; any intra-class inconsistency signals an enumeration or orbit bug
+    and raises.  A class's representative is the point of its first row.
+    """
+    chsh_counts = (doubled_values(rows, chsh_facets) > 0).sum(axis=1).tolist()
+    i_counts = (doubled_values(rows, i3322_facets) > 0).sum(axis=1).tolist()
     per_class = {}
-    for (point, label), c, i in zip(classified, chsh_counts, i_counts):
-        entry = per_class.setdefault(label, [0, int(c), int(i), point])
-        if (int(c), int(i)) != (entry[1], entry[2]):
+    for k, (label, c, i) in enumerate(zip(labels, chsh_counts, i_counts)):
+        entry = per_class.setdefault(label, [0, c, i, k])
+        if (c, i) != (entry[1], entry[2]):
             raise RuntimeError(
                 f"class {label} members violate differing facet counts: "
                 f"({c}, {i}) vs ({entry[1]}, {entry[2]})"
             )
         entry[0] += 1
     return CensusResult(
-        total=len(classified),
+        total=len(labels),
         classes={
-            label: ClassStats(cnt, chsh, i, rep)
-            for label, (cnt, chsh, i, rep) in per_class.items()
+            label: ClassStats(cnt, chsh, i, from_half_units(scenario, rows[k].tolist()))
+            for label, (cnt, chsh, i, k) in per_class.items()
         },
     )
 
@@ -552,19 +557,32 @@ def lemma1_identities(n: int) -> tuple:
     return c1, c2
 
 
-def random_bits(rng: random.Random, k: int) -> int:
-    """k bits, big-endian, drawn exactly as k calls of `rng.randrange(2)` draw them.
+# samples the lemma sampler draws, evaluates and checks together; even, so the
+# perturbed samples (every second one) are the odd rows of every block
+LEMMA_BLOCK = 4096
 
-    CPython's `randrange(2)` takes `getrandbits(2)` and redraws while it
-    exceeds 1; doing the same here skips its three Python frames per bit.
+
+def draw_words(rng: random.Random, m: int) -> np.ndarray:
+    """m uniform 32-bit words: `rng.getrandbits(32 * m)` read as little-endian uint32."""
+    return np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), dtype="<u4")
+
+
+def draw_bits(rng: random.Random, k: int) -> np.ndarray:
+    """k uniform bits (uint8): the bits of `draw_words`, each word least significant bit first."""
+    return np.unpackbits(draw_words(rng, -(-k // 32)).view(np.uint8), bitorder="little")[:k]
+
+
+def draw_below(rng: random.Random, widths) -> np.ndarray:
+    """One uniform int64 draw in [0, w) per width 1 <= w <= 2^32.
+
+    A draw is the top bit_length(w - 1) bits of a word (frexp's exponent of
+    w - 1), redrawn from fresh words while it is w or more.
     """
-    getrandbits = rng.getrandbits
-    out = 0
-    for _ in range(k):
-        bit = getrandbits(2)
-        while bit > 1:
-            bit = getrandbits(2)
-        out = 2 * out + bit
+    widths = np.asarray(widths, dtype=np.int64)
+    out = draw_words(rng, len(widths)) >> (32 - np.frexp(widths - 1)[1])
+    rejected = np.flatnonzero(out >= widths)
+    if len(rejected):
+        out[rejected] = draw_below(rng, widths[rejected])
     return out
 
 
@@ -594,81 +612,58 @@ def check_lemma1(
     """Sample behaviors beyond the machine-resistant bound; check both relaxations.
 
     Draws mixtures lambda * PR_n + (1 - lambda) * random local vertex with
-    lambda pushed past the positivity threshold, perturbs every other sample
-    toward a second vertex, and asserts that each sampled point with a
-    positive value also has strictly positive values on both majorized
-    inequalities.  The values are the same mixtures of the doubled values of
-    (M, C1, C2) at PR_n and at each drawn vertex, computed once per vertex;
+    lambda = a/4096 pushed past the positivity threshold, perturbs every
+    other sample toward a second vertex by b/4096, b < 1024, while M stays
+    positive, and asserts that each sampled point with a positive value also
+    has strictly positive values on both majorized inequalities.  Samples go
+    in numpy blocks of `LEMMA_BLOCK`.  A vertex is 2n bits u, v; with
+    x = 1 - u and y = 1 - v, (M, C1, C2) there is c + A x + B y + x^T C y, so
     a point is built only for a counterexample.  Arithmetic is exact
-    (integer numerators over powers of two), and the generator is seeded for
-    reproducibility.  The lemma itself rests on `lemma1_identities`; this
+    (integer numerators over powers of two).  Every draw is a 32-bit word of
+    `random.Random(seed).getrandbits`; per block, the vertex bits (samples,
+    then perturbations), one word per a (top-bits rejection, rejects redrawn
+    after), one per b.  The lemma itself rests on `lemma1_identities`; this
     is a property check.
     """
     if n < 3:
         raise ValueError("the lemma concerns three or more settings")
+    samples, seed = as_integer(samples, "samples"), as_integer(seed, "seed")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     rng = random.Random(seed)
     den = 4096
     scenario = Scenario(n)
-    functionals = (make_mnn22(n), make_c1(n), make_c2(n))
-    coeffs, _ = functional_matrix(functionals, scenario.dimension)
-    mk, c1k, c2k = (f.constant for f in functionals)
-    pr_halves = to_half_units(machine_behavior(pr_machine(n)))
-    pr_vals = (np.asarray(pr_halves, dtype=np.int64) @ coeffs.T).tolist()
-    v_pr2 = pr_vals[0] + 2 * mk
-    bits = np.arange(2 * n - 1, -1, -1)
-
-    def vertex_row(row):
-        """Half-unit coordinates of the deterministic vertex with 2n option bits `row`."""
-        codes = (row >> bits) & 1
-        return half_rows(None, codes[:n], codes[n:])
-
-    # doubled linear parts of (M, C1, C2) per deterministic vertex, computed
-    # when the sampler first draws it; rows number the vertices (u, v) in
-    # option-table order, u then v, big-endian
-    vertex_vals = {}
-
-    def vertex():
-        row = random_bits(rng, 2 * n)
-        if row not in vertex_vals:
-            vertex_vals[row] = (vertex_row(row).astype(np.int64) @ coeffs.T).tolist()
-        return row
-
-    def weigh(x, p, y, q):
-        return [x * s + y * t for s, t in zip(p, q)]
-
+    coeffs, consts2 = functional_matrix((make_mnn22(n), make_c1(n), make_c2(n)), scenario.dimension)
+    alice2, bob2, joint2 = 2 * coeffs[:, :n].T, 2 * coeffs[:, n : 2 * n].T, 2 * coeffs[:, 2 * n :].reshape(3, n, n)
+    pr_halves = np.asarray(to_half_units(machine_behavior(pr_machine(n))), dtype=np.int64)
+    pr2 = pr_halves @ coeffs.T + consts2
     counterexamples = []
-    checked = 0
-    for trial in range(samples):
-        local = vertex()
-        v_local2 = vertex_vals[local][0] + 2 * mk
-        # smallest lambda = a/den with a positive mixture value
-        a_min = (-v_local2 * den) // (v_pr2 - v_local2) + 1
-        a = rng.randrange(max(a_min, 1), den + 1)
-        vals = weigh(a, pr_vals, den - a, vertex_vals[local])
-        denom = 2 * den
-        bumped = False
-        if trial % 2 == 1:
-            other = vertex()
-            b = rng.randrange(0, den // 4)
-            bump = weigh(den - b, vals, b * den, vertex_vals[other])
-            if bump[0] + mk * den * denom > 0:
-                vals, bumped = bump, True
-                denom *= den
-        m_num, c1_num, c2_num = vals[0] + mk * denom, vals[1] + c1k * denom, vals[2] + c2k * denom
-        if m_num <= 0:
+    for start in range(0, samples, LEMMA_BLOCK):
+        m = min(LEMMA_BLOCK, samples - start)
+        bits = draw_bits(rng, 2 * n * (m + m // 2)).reshape(-1, 2 * n)
+        x, y = 1 - bits[:, :n].astype(np.int64), 1 - bits[:, n:].astype(np.int64)
+        vertex2 = consts2 + x @ alice2 + y @ bob2 + np.einsum("si,kij,sj->sk", x, joint2, y)
+        local2, other2 = vertex2[:m], vertex2[m:]
+        # smallest a with M > 0 at a/den PR_n + (1 - a/den) local
+        low = np.maximum((-local2[:, 0] * den) // (pr2[0] - local2[:, 0]) + 1, 1)
+        a = low + draw_below(rng, den + 1 - low)
+        vals = a[:, None] * pr2 + (den - a)[:, None] * local2  # over 2 den
+        b = draw_below(rng, np.full(m // 2, den // 4))
+        bump = (den - b)[:, None] * vals[1::2] + (b * den)[:, None] * other2  # over 2 den^2
+        bumped = np.zeros(m, dtype=bool)
+        bumped[1::2] = bump[:, 0] > 0
+        vals[bumped] = bump[bumped[1::2]]
+        if (vals[:, 0] <= 0).any():
             raise RuntimeError("sampler produced a point below the bound")
-        checked += 1
-        if c1_num <= 0 or c2_num <= 0:
-            mix = weigh(a, pr_halves, den - a, vertex_row(local).tolist())
-            if bumped:
-                mix = weigh(den - b, mix, b * den, vertex_row(other).tolist())
-            point = BehaviorPoint.from_coords(
-                scenario, [Fraction(x, denom) for x in mix]
-            )
-            counterexamples.append(point)
-    report = Lemma1Report(n, samples, checked, tuple(counterexamples))
+        for k in np.flatnonzero((vals[:, 1:] <= 0).any(axis=1)).tolist():
+            # int64 rows: numpy 1.x would keep an int8 row times a small scalar in int8
+            mix = a[k] * pr_halves + (den - a[k]) * half_rows(None, bits[k, :n], bits[k, n:]).astype(np.int64)
+            denom = 2 * den
+            if bumped[k]:
+                other = half_rows(None, bits[m + k // 2, :n], bits[m + k // 2, n:]).astype(np.int64)
+                mix, denom = (den - b[k // 2]) * mix + b[k // 2] * den * other, denom * den
+            counterexamples.append(BehaviorPoint.from_coords(scenario, [Fraction(v, denom) for v in mix.tolist()]))
+    report = Lemma1Report(n, samples, samples, tuple(counterexamples))
     if counterexamples and raise_on_counterexample:
         raise LemmaCounterexampleError(report)
     return report

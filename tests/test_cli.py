@@ -187,6 +187,14 @@ def test_lemma1_at_twelve_settings(capsys):
     assert (doc["n"], doc["checked"], doc["counterexamples"]) == (12, 50, [])
 
 
+def test_lemma1_past_sixty_four_option_bits(capsys):
+    # 2n = 64 vertex bits do not fit a C long
+    code, out, err = run(capsys, "lemma1", "--n", "32", "--samples", "5")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert (doc["n"], doc["checked"], doc["counterexamples"]) == (32, 5, [])
+
+
 def test_quantum_seesaw(capsys):
     code, out, _ = run(
         capsys,

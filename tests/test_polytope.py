@@ -21,12 +21,15 @@ from bellbox.behavior import (
 from bellbox.functionals import BellFunctional, make_c1, make_c2, make_chsh, make_inn22, make_mnn22
 from bellbox.machines import machine_behavior, pr_box, pr_machine
 from bellbox.polytope import (
+    LEMMA_BLOCK,
     IntRowBasis,
     affine_rank_halves,
     check_lemma1,
     classify_vertex_n3,
     deterministic_saturators_mnn22,
     doubled_values,
+    draw_below,
+    draw_bits,
     enumerate_nonlocal_vertices,
     enumerate_ns_vertices_n3,
     half_integral_candidates,
@@ -36,7 +39,6 @@ from bellbox.polytope import (
     nontrivial_facets_n3,
     ns_vertex_rows,
     one_machine_half_matrix,
-    random_bits,
     verify_facet,
     violation_census,
 )
@@ -543,19 +545,26 @@ def test_lemma_report_is_reproducible():
     assert r1 == r2
 
 
-def test_random_bits_draw_as_randrange_does():
+def test_word_draws_are_bits_and_uniform_below_their_widths():
     for seed in (0, 7, 123):
-        fast, slow = random.Random(seed), random.Random(seed)
-        assert [random_bits(fast, 1) for _ in range(10_000)] == [slow.randrange(2) for _ in range(10_000)]
-        row = random_bits(fast, 24)
-        assert row == int("".join(str(slow.randrange(2)) for _ in range(24)), 2)
-        assert fast.getrandbits(64) == slow.getrandbits(64)
+        bits = draw_bits(random.Random(seed), 1000)
+        assert bits.shape == (1000,) and set(bits.tolist()) == {0, 1}
+        assert (draw_bits(random.Random(seed), 1000) == bits).all()
+        for w in (1, 2, 3, 1024, 4096):
+            draws = draw_below(random.Random(seed), np.full(2000, w))
+            assert draws.min() >= 0 and draws.max() < w
+            assert (draw_below(random.Random(seed), np.full(2000, w)) == draws).all()
+            if w <= 3:
+                assert set(draws.tolist()) == set(range(w))
 
 
 def test_lemma_check_of_no_samples_is_refused():
     for samples in (0, -5):
         with pytest.raises(ValueError, match="samples must be at least 1"):
             check_lemma1(3, samples=samples)
+    for samples, seed in ((True, 0), (10, None), (10, "abc"), (10, 1.5)):
+        with pytest.raises(ValueError, match="is not an integer"):
+            check_lemma1(3, samples=samples, seed=seed)
 
 
 def _negated(f):
@@ -568,15 +577,15 @@ def _negated(f):
     )
 
 
-# sha256 of the sampled points' JSON, recorded with the vector-dot sampler
-# that drew each vertex as a half-unit row
+# sha256 of the sampled points' JSON, recorded with the block sampler that
+# reads every draw from 32-bit words of random.Random(seed).getrandbits
 LEMMA_DRAW_DIGESTS = {
-    (3, 0): "13741755ef571950cb19e96833f5c5744b1c14dd69257b9b8c90d9efa9158cdc",
-    (3, 7): "33f948fb3b3122894a4c3666d875798e06730f51feaf6b84804eabef8ce5f229",
-    (4, 0): "d4fe5bba617780d85427e5a327cdd06101b2b7f24b8dfc394176087820ddf25c",
-    (4, 7): "61543561bae6e539e225260b925398ffa3a5b9676dc9e929e5fadff85a5fee97",
-    (5, 0): "e817c659818cb47429bd6441ac7cd14ab628ae93e1b409668f9f759869d21085",
-    (5, 7): "88e41d9696c043b927cab79e0de262395e098e9ec016693a437fad64bf9c6810",
+    (3, 0): "63f8c924f93e6c3e8fb49229e6926f03d0043ecdd3e8b1eef0285d1d55853a33",
+    (3, 7): "5ddb5fb33c3127bd2d2fddd00161331af5c88217e3a4499f7a655b3f47ffd30f",
+    (4, 0): "d78d515f547644fd13047b6338ecff39a5d84bbb4a945b47d67aa28a3649d2f4",
+    (4, 7): "a4ae3154c3ffb55f869a82b0fed5b350c540bf37acaf08596c2280a1d56bbef7",
+    (5, 0): "a05dc3536a694d7d48e59a82e774e5374776d643e96ed606da09f5c2a686d3c3",
+    (5, 7): "ca05c074288248f4358cfbb62842f780a425eb7bf99a604edb7e429a496ea312",
 }
 
 
@@ -593,6 +602,16 @@ def test_lemma_sampler_draws_are_pinned(monkeypatch, n, seed):
     for point in report.counterexamples:
         assert m.evaluate(point) > 0
         assert negated_c1.evaluate(point) <= 0
+
+
+def test_lemma_sampler_reports_every_sample_across_a_block_boundary(monkeypatch):
+    monkeypatch.setattr(polytope, "make_c1", lambda k: _negated(make_c1(k)))
+    report = check_lemma1(3, samples=LEMMA_BLOCK + 1, seed=3, raise_on_counterexample=False)
+    assert report.checked == len(report.counterexamples) == LEMMA_BLOCK + 1
+    m = make_mnn22(3)
+    for point in report.counterexamples:
+        assert validate(point) == []
+        assert m.evaluate(point) > 0
 
 
 # (alice, bob, joint, constant) coefficients of P(r_A r_B | A_i, B_j), as in cell_probabilities
