@@ -15,9 +15,13 @@ in each of Alice's vectors a_i, so the per-step optimum is the normalised
 gradient dF/da_i, which is the Bloch vector of the top eigenprojector of
 the effective 2x2 operator; then the same for Bob.  The objective
 therefore never decreases.  One kernel runs a batch of restarts, and for a
-sweep of states too, as (rows, n, 3) arrays.  Results are certified lower
-bounds on a state's maximum; a failure to find a violation is heuristic
-evidence only and is reported as such.
+sweep of states too, as (rows, n, 3) arrays.  It keeps the live rows' state
+compacted between steps and gathers it again only on a step where some row
+stops; every row goes through the same floating-point operations as it would
+if the batch were gathered and scattered on every step, so values, vectors,
+iteration counts and converged flags are bit-identical to that.  Results are
+certified lower bounds on a state's maximum; a failure to find a violation
+is heuristic evidence only and is reported as such.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .behavior import BehaviorPoint, Scenario
+from .behavior import BehaviorPoint, Scenario, as_integer
 from .functionals import BellFunctional
 
 _NORM_TOL = 1e-12
@@ -132,6 +136,8 @@ class SeesawResult:
     measurements: MeasurementSet
     converged: bool
     iterations: int
+    # how many of the restarts stopped on a gain below SEESAW_TOL
+    restarts_converged: int
 
 
 def _random_bloch(rng, plane: str) -> np.ndarray:
@@ -145,17 +151,38 @@ def _random_bloch(rng, plane: str) -> np.ndarray:
 
 
 def _starts(n: int, seed: int, restarts: int, plane: str) -> np.ndarray:
-    """(restarts, 2n, 3) starting vectors: per restart Alice's n, then Bob's n."""
-    rng = np.random.default_rng(seed)
-    return np.array([[_random_bloch(rng, plane) for _ in range(2 * n)] for _ in range(restarts)])
+    """(restarts, 2n, 3) starting vectors: per restart Alice's n, then Bob's n.
+
+    Each vector is what `_random_bloch` would return from one generator in
+    turn.  A generator's normal draws are sequential, so one draw gives them
+    all; each norm is a dot product, as np.linalg.norm takes it for one
+    vector.  From the first vector of norm at most 1e-8 on, which
+    `_random_bloch` redraws, the vectors are drawn one at a time.
+    """
+    count = restarts * 2 * n
+    v = np.random.default_rng(seed).normal(size=(count, 3))
+    if plane == "xz":
+        v[:, 1] = 0.0
+    norms = np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0, 0]
+    short = np.flatnonzero(norms <= 1e-8)
+    k = int(short[0]) if short.size else count
+    out = np.empty_like(v)
+    out[:k] = v[:k] / norms[:k, None]
+    if k < count:
+        rng = np.random.default_rng(seed)
+        rng.normal(size=(k, 3))
+        out[k:] = [_random_bloch(rng, plane) for _ in range(k, count)]
+    return out.reshape(restarts, 2 * n, 3)
 
 
 def _unit(grad: np.ndarray) -> np.ndarray:
     """Normalise the last axis; a zero gradient gives (0, 0, -1), as eigh does for a multiple of 1."""
-    norm = np.linalg.norm(grad, axis=-1, keepdims=True)
-    zero = norm[..., 0] == 0
-    grad[zero], norm[zero] = (0.0, 0.0, -1.0), 1.0
-    return grad / norm
+    # np.linalg.norm(grad, axis=-1) computes exactly this
+    norm = np.sqrt((grad * grad).sum(-1))
+    if not norm.all():
+        zero = norm == 0
+        grad[zero], norm[zero] = (0.0, 0.0, -1.0), 1.0
+    return grad / norm[..., None]
 
 
 def _seesaw_rows(f: BellFunctional, forms, starts, tol: float, max_iterations: int, trace=None):
@@ -168,6 +195,13 @@ def _seesaw_rows(f: BellFunctional, forms, starts, tol: float, max_iterations: i
     final values, converged flags, iteration counts and (rows, 2n, 3)
     vectors.  `trace`, if given, receives the (rows,) values after the
     start and after each step; a stopped row repeats its last value.
+
+    The live rows' state (vectors, forms, the linear terms wa m_A and
+    wb m_B, the last value) stays compacted, in row order, and is written
+    back and compacted again only on a step where some row stops or at
+    `max_iterations`.  Each operation sees the same rows, in the same
+    layout, as a gather and scatter on every step would give it, so the
+    results are bit-identical to that.
     """
     n = f.scenario.n_settings
     joint = np.array(f.joint, dtype=float)
@@ -186,34 +220,48 @@ def _seesaw_rows(f: BellFunctional, forms, starts, tol: float, max_iterations: i
     values = value(vectors[:, :n], vectors[:, n:], m_a, m_b, t)
     converged = np.zeros(rows, dtype=bool)
     iterations = np.zeros(rows, dtype=int)
-    live = np.arange(rows)
     if trace is not None:
         trace.append(values.copy())
+    live = np.arange(rows)
+    lm_a, lm_b, lt, b, last = m_a[live], m_b[live], t[live], vectors[live, n:], values[live]
+    lin_a, lin_b = wa[:, None] * lm_a[:, None], wb[:, None] * lm_b[:, None]
+    joint_t = joint.T
     for step in range(1, max_iterations + 1):
         if not live.size:
             break
-        lm_a, lm_b, lt, b = m_a[live], m_b[live], t[live], vectors[live, n:]
-        a = _unit(wa[:, None] * lm_a[:, None] + (joint @ b) @ lt.transpose(0, 2, 1))
-        b = _unit(wb[:, None] * lm_b[:, None] + (joint.T @ a) @ lt)
+        a = _unit(lin_a + (joint @ b) @ lt.transpose(0, 2, 1))
+        b = _unit(lin_b + (joint_t @ a) @ lt)
         new = value(a, b, lm_a, lm_b, lt)
-        vectors[live, :n], vectors[live, n:] = a, b
-        iterations[live] = step
         if trace is not None:
             shown = values.copy()
             shown[live] = new
             trace.append(shown)
-        done = new - values[live] < tol
-        values[live] = np.where(done, np.maximum(values[live], new), new)
+        done = new - last < tol
+        if step < max_iterations and not done.any():
+            last = new
+            continue
+        vectors[live, :n], vectors[live, n:] = a, b
+        iterations[live] = step
+        values[live] = np.where(done, np.maximum(last, new), new)
         converged[live[done]] = True
-        live = live[~done]
+        keep = ~done
+        live = live[keep]
+        lm_a, lm_b, lt, lin_a, lin_b, b, last = (
+            x[keep] for x in (lm_a, lm_b, lt, lin_a, lin_b, b, new)
+        )
     return values, converged, iterations, vectors
 
 
-def _check_args(plane: str, restarts: int) -> None:
+def _check_args(plane: str, restarts, seed) -> tuple:
+    """(restarts, seed) as ints, or a ValueError naming the argument."""
     if plane not in ("full", "xz"):
         raise ValueError("plane must be 'full' or 'xz'")
+    restarts, seed = as_integer(restarts, "restarts"), as_integer(seed, "seed")
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    return restarts, seed
 
 
 def seesaw_maximize(
@@ -227,7 +275,7 @@ def seesaw_maximize(
 
     The winner is the first restart that attains the largest value.
     """
-    _check_args(plane, restarts)
+    restarts, seed = _check_args(plane, restarts, seed)
     n = f.scenario.n_settings
     forms = tuple(np.broadcast_to(x, (restarts, *x.shape)) for x in state.bloch_form())
     values, converged, iterations, vectors = _seesaw_rows(
@@ -239,6 +287,7 @@ def seesaw_maximize(
         MeasurementSet(tuple(vectors[best, :n].tolist()), tuple(vectors[best, n:].tolist())),
         bool(converged[best]),
         int(iterations[best]),
+        int(converged.sum()),
     )
 
 
@@ -248,6 +297,8 @@ class SweepResult:
     values: tuple
     best_theta: float
     best_value: float
+    # per theta, how many of its restarts stopped on a gain below SEESAW_TOL
+    restarts_converged: tuple
 
     def curve(self):
         return list(zip(self.thetas, self.values))
@@ -267,9 +318,10 @@ def theta_sweep(
     All grid points run as one batch in this process; `threads` is checked
     (at least 1) but starts no workers.
     """
+    grid, threads = as_integer(grid, "grid"), as_integer(threads, "threads")
     if grid < 2:
         raise ValueError("grid needs at least two points")
-    _check_args(plane, restarts)
+    restarts, seed = _check_args(plane, restarts, seed)
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     n = f.scenario.n_settings
@@ -277,9 +329,13 @@ def theta_sweep(
     per_point = [TwoQubitState.schmidt(theta).bloch_form() for theta in thetas]
     forms = tuple(np.repeat(np.array(x), restarts, axis=0) for x in zip(*per_point))
     starts = np.concatenate([_starts(n, seed + k, restarts, plane) for k in range(grid)])
-    values = _seesaw_rows(f, forms, starts, SEESAW_TOL, SEESAW_MAX_ITERATIONS)[0]
+    values, converged = _seesaw_rows(f, forms, starts, SEESAW_TOL, SEESAW_MAX_ITERATIONS)[:2]
     values = values.reshape(grid, restarts).max(axis=1).tolist()
     best_idx = int(np.argmax(values))
     return SweepResult(
-        tuple(thetas), tuple(values), thetas[best_idx], values[best_idx]
+        tuple(thetas),
+        tuple(values),
+        thetas[best_idx],
+        values[best_idx],
+        tuple(converged.reshape(grid, restarts).sum(axis=1).tolist()),
     )

@@ -372,6 +372,14 @@ def test_non_finite_theta_exits_one(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("action", ["seesaw", "sweep"])
+def test_a_negative_seed_exits_one_naming_the_seed(capsys, action):
+    code, out, err = run(capsys, "quantum", action, "--ineq", "CHSH", "--grid", "2", "--seed", "-1")
+    assert_one_line_error(code, err)
+    assert "seed must be non-negative" in err
+    assert out == ""
+
+
 def test_a_one_input_box_exits_one(capsys):
     code, out, err = run(capsys, "verify-facet", "--ineq", "CHSH", "--class", "box:pr:1")
     assert_one_line_error(code, err)
@@ -420,7 +428,7 @@ def test_verify_facet_stdout_is_pinned(capsys, argv, exit_code, digest):
 
 
 # sha256 of the full stdout of each quantum sweep run, recorded with the
-# 2x2-projector see-saw and a process pool behind --threads
+# 2x2-projector see-saw and a process pool behind --threads; they still hold
 QUANTUM_SWEEP_STDOUT = [
     (["--ineq", "CHSH", "--grid", "5", "--restarts", "4"],
      "381a1456903188c5083663befa9a6242b307adff89c40164e854a9a101d114be"),
@@ -436,6 +444,30 @@ QUANTUM_SWEEP_STDOUT = [
 @pytest.mark.parametrize("argv, digest", QUANTUM_SWEEP_STDOUT)
 def test_quantum_sweep_stdout_is_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, "quantum", "sweep", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of the full stdout of each quantum seesaw run, recorded with a see-saw
+# that gathered and scattered every live row on every step.  Every Bloch
+# vector is printed to nine digits, so these are the strictest check that the
+# see-saw's arithmetic is unchanged; CHSH3 leaves settings unused, which takes
+# the (0, 0, -1) zero-gradient path
+QUANTUM_SEESAW_STDOUT = [
+    (["--ineq", "CHSH", "--theta", "0.7853981633974483", "--restarts", "10"],
+     "fc4851108a7524d7420dbd5517963b56375f9edbac9c228a768e6a6936da6b98"),
+    (["--ineq", "M3322", "--theta", "0.2263", "--restarts", "12", "--seed", "5"],
+     "b1a8c4e3935163473534bd805d5df0233db4039df8121b708958d574c043a6cc"),
+    (["--ineq", "M3322", "--theta", "0.2263", "--restarts", "12", "--seed", "5", "--plane", "xz"],
+     "23cd514734e0c2ef1642b4fbdf2f0fc652c5ea709ae48a933315e7538e6121c6"),
+    (["--ineq", "CHSH3", "--theta", "0.5", "--restarts", "3"],
+     "ef5ad91453fabc73147904be5d77630f63712a142f13aa3cbd6fb0b2fd856a92"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", QUANTUM_SEESAW_STDOUT)
+def test_quantum_seesaw_stdout_is_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, "quantum", "seesaw", *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

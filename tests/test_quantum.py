@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from bellbox.behavior import validate
-from bellbox.functionals import make_chsh, make_inn22, make_mnn22
+from bellbox.functionals import make_c1, make_chsh, make_inn22, make_mnn22
 from bellbox.quantum import (
     MeasurementSet,
     TwoQubitState,
+    SEESAW_MAX_ITERATIONS,
+    SEESAW_TOL,
     _seesaw_rows,
     _starts,
     quantum_behavior,
@@ -222,3 +224,147 @@ def test_counts_are_checked_before_any_worker_starts():
         theta_sweep(make_chsh(2), grid=2, restarts=1, threads=0)
     with pytest.raises(ValueError):
         theta_sweep(make_chsh(2), grid=2, restarts=0, threads=2)
+
+
+def reference_starts(n, seed, restarts, plane):
+    """Start vectors drawn one at a time, each normalised by np.linalg.norm of that one vector."""
+    rng = np.random.default_rng(seed)
+
+    def one():
+        while True:
+            v = rng.normal(size=3)
+            if plane == "xz":
+                v[1] = 0.0
+            norm = np.linalg.norm(v)
+            if norm > 1e-8:
+                return v / norm
+
+    return np.array([[one() for _ in range(2 * n)] for _ in range(restarts)])
+
+
+@pytest.mark.parametrize("plane", ["full", "xz"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_starts_equal_the_per_vector_draws_bit_for_bit(n, plane):
+    for seed, restarts in ((0, 1), (7, 3), (12345, 20), (2 ** 31 - 1, 64)):
+        assert np.array_equal(_starts(n, seed, restarts, plane), reference_starts(n, seed, restarts, plane))
+
+
+# seed 4's normal draws, except that vector 5 (draws 15-17) has x = z = 1e-10
+SHORT_XZ_STREAM = np.random.default_rng(4).normal(size=3000)
+SHORT_XZ_STREAM[[15, 17]] = 1e-10
+
+
+class ShortVectorRng:
+    """A generator whose normal draws are SHORT_XZ_STREAM, whatever the seed."""
+
+    def __init__(self, seed):
+        self.pos = 0
+
+    def normal(self, size):
+        count = int(np.prod(size))
+        self.pos += count
+        return SHORT_XZ_STREAM[self.pos - count:self.pos].reshape(size)
+
+
+@pytest.mark.parametrize("plane", ["full", "xz"])
+def test_a_short_start_vector_is_redrawn_as_one_at_a_time(monkeypatch, plane):
+    monkeypatch.setattr(np.random, "default_rng", ShortVectorRng)
+    starts = _starts(3, 0, 4, plane)
+    assert np.array_equal(starts, reference_starts(3, 0, 4, plane))
+    # only in the xz plane is vector 5 short; its redraw takes draws 18-20
+    redraw = SHORT_XZ_STREAM[18:21] * [1.0, 0.0, 1.0]
+    assert np.array_equal(starts[0, 5], redraw / np.linalg.norm(redraw)) == (plane == "xz")
+
+
+@pytest.mark.parametrize("f", [make_chsh(2), make_inn22(3), make_mnn22(3), make_mnn22(4), make_c1(4)],
+                         ids=["CHSH", "I3322", "M3322", "M4422", "C1-4"])
+def test_every_restart_value_is_the_born_rule_value_of_its_vectors(f):
+    n = f.scenario.n_settings
+    for theta, seed in ((math.pi / 4, 0), (0.2263, 5), (0.6, 11)):
+        state = TwoQubitState.schmidt(theta)
+        rows = 6
+        forms = tuple(np.broadcast_to(x, (rows, *x.shape)) for x in state.bloch_form())
+        values, _, _, vectors = _seesaw_rows(
+            f, forms, _starts(n, seed, rows, "full"), SEESAW_TOL, SEESAW_MAX_ITERATIONS
+        )
+        for value, row in zip(values, vectors):
+            assert abs(f.evaluate(quantum_behavior(state, row[:n], row[n:])) - value) <= 1e-12
+
+
+def test_a_stopped_row_repeats_its_value_in_the_trace():
+    forms = TwoQubitState.schmidt(0.4).bloch_form()
+    rows = 10
+    trace = []
+    values, converged, iterations, _ = _seesaw_rows(
+        make_mnn22(3),
+        tuple(np.broadcast_to(x, (rows, *x.shape)) for x in forms),
+        _starts(3, 2, rows, "full"),
+        1e-10,
+        500,
+        trace=trace,
+    )
+    trace = np.asarray(trace)
+    assert converged.all()
+    assert len(trace) == iterations.max() + 1
+    assert len(set(iterations.tolist())) > 1
+    for r, stop in enumerate(iterations):
+        # the stopping step shows its own value; the row keeps the larger of its last two
+        assert values[r] == max(trace[stop - 1, r], trace[stop, r])
+        assert (trace[stop + 1:, r] == values[r]).all()
+
+
+def test_iteration_cap_stops_every_live_row_unconverged():
+    forms = TwoQubitState.schmidt(0.4).bloch_form()
+    rows = 5
+    capped = _seesaw_rows(
+        make_mnn22(3), tuple(np.broadcast_to(x, (rows, *x.shape)) for x in forms),
+        _starts(3, 2, rows, "full"), 1e-10, 3,
+    )
+    assert not capped[1].any()
+    assert (capped[2] == 3).all()
+
+
+def test_results_count_their_converged_restarts():
+    f = make_mnn22(3)
+    result = seesaw_maximize(f, TwoQubitState.schmidt(0.3), restarts=7, seed=4)
+    forms = tuple(np.broadcast_to(x, (7, *x.shape)) for x in TwoQubitState.schmidt(0.3).bloch_form())
+    converged = _seesaw_rows(f, forms, _starts(3, 4, 7, "full"), SEESAW_TOL, SEESAW_MAX_ITERATIONS)[1]
+    assert result.restarts_converged == int(converged.sum())
+    sweep = theta_sweep(f, grid=4, restarts=3, seed=9)
+    assert len(sweep.restarts_converged) == 4
+    for k, theta in enumerate(sweep.thetas):
+        point = seesaw_maximize(f, TwoQubitState.schmidt(theta), restarts=3, seed=9 + k)
+        assert sweep.restarts_converged[k] == point.restarts_converged
+        assert sweep.values[k] == point.value
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"seed": None}, "seed None is not an integer"),
+    ({"seed": 1.5}, "seed 1.5 is not an integer"),
+    ({"seed": "abc"}, "seed 'abc' is not an integer"),
+    ({"seed": -1}, "seed must be non-negative"),
+    ({"restarts": 2.5}, "restarts 2.5 is not an integer"),
+    ({"restarts": True}, "restarts True is not an integer"),
+])
+def test_seesaw_integer_arguments_are_checked(kwargs, message):
+    state = TwoQubitState.schmidt(0.3)
+    with pytest.raises(ValueError, match=message):
+        seesaw_maximize(make_chsh(2), state, **kwargs)
+    with pytest.raises(ValueError, match=message):
+        theta_sweep(make_chsh(2), grid=2, **kwargs)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"grid": 2.5}, "grid 2.5 is not an integer"),
+    ({"threads": 1.5}, "threads 1.5 is not an integer"),
+    ({"threads": None}, "threads None is not an integer"),
+])
+def test_sweep_integer_arguments_are_checked(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        theta_sweep(make_chsh(2), **{"grid": 2, **kwargs})
+
+
+def test_integral_arguments_of_other_types_are_taken_as_ints():
+    state = TwoQubitState.schmidt(0.3)
+    plain = seesaw_maximize(make_chsh(2), state, restarts=3, seed=8)
+    assert seesaw_maximize(make_chsh(2), state, restarts=3.0, seed=np.int64(8)) == plain
