@@ -444,14 +444,17 @@ class DecoupledMax:
             alice = self.avec[lo : lo + block]
             optimal = (self.optimal[lo : lo + block, :, None] >> bits) & 1 == 1
             base = optimal.argmax(axis=2)
-            s, j, c = np.nonzero(optimal & (bits != base[:, :, None]))
+            s, j, c = np.unravel_index(np.flatnonzero(optimal & (bits != base[:, :, None])), optimal.shape)
             rows = half_rows(self.machine, alice, base)
             keys = rows.view(np.dtype((np.void, rows.shape[1]))).ravel().tolist()
             ids = np.array([base_ids.setdefault(key, len(base_ids)) for key in keys], dtype=np.int64)
             # code[v, c]: Bob's column under option c against Alice vector v
             code = digits @ joint[alice].astype(np.int64) + marginal.astype(np.int64) * 3**n
             signature = (ids[s] * n + j) * 3 ** (n + 1) + code[s, c]
-            unique, first = np.unique(signature, return_index=True)
+            # the distinct signatures and the first index of each, from one unstable sort
+            order = np.argsort(signature)
+            starts = np.flatnonzero(np.diff(signature[order], prepend=-1))
+            unique, first = signature[order[starts]], np.minimum.reduceat(order, starts)
             new = [k for k, sig in enumerate(unique.tolist()) if sig not in seen_moves]
             seen_moves.update(unique[new].tolist())
             pick = np.sort(first[new])
