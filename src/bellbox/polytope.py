@@ -204,8 +204,11 @@ def verify_facet(
     and of deterministic saturating strategies are exact.  When the maximum is 0,
     the affine rank is that of the distinct behaviors of `DecoupledMax.star_rows`
     (first `SATURATING_POINTS_CAP` kept), which span the saturating set's
-    affine hull.  It stops at the highest rank that set can have: N(N+2)-1
-    when `f` has a nonzero coefficient (the set lies in f = 0), else N(N+2).
+    affine hull.  They are ranked block by block as the stream yields them,
+    from the last attaining Alice vector back in blocks that start at one
+    batch and double, and the ranking stops at the highest rank the set can
+    have: N(N+2)-1 when `f` has a nonzero coefficient (the set lies in
+    f = 0), else N(N+2).
     At most `max_strategies` distinct behaviors are examined; `truncated`
     says that more were left while the rank was below that ceiling.
     """

@@ -423,26 +423,33 @@ class DecoupledMax:
         depends only on her vector and his option there, so one vector's
         maximizers form a product, spanned by a base choice (Bob's first
         optimal option per setting) and the moves that change one setting j
-        to another optimal option c.  The stream runs batch by batch of
-        `step` attaining vectors: their base rows, then their move rows
-        ordered by (vector, j, c).  It is yielded in blocks of whole
-        batches, each row at its first occurrence only.  A move rewrites only
-        Bob's marginal j and joint column j, so it is fixed by its base row,
-        j and that column (n + 1 entries in {0, 1, 2}, one base-3 code); a
-        move whose (base row, j, code) was met before repeats a row already
-        met and is not built.
+        to another optimal option c.  The rows that complete the rank come
+        from the last attaining vectors in lexicographic order, so the walk
+        starts at the last vector and runs backwards, batch by batch of
+        `step` vectors: their base rows, then their move rows ordered by
+        (vector, j, c).  It is yielded in blocks of whole batches, each row
+        at its first occurrence only.  The first block is one batch and each
+        next one doubles, up to `CHUNK_VECTORS` vectors, so a consumer that
+        stops at full rank builds little.  A move rewrites only Bob's
+        marginal j and joint column j, so it is fixed by its base row, j and
+        that column (n + 1 entries in {0, 1, 2}, one base-3 code); a move
+        whose (base row, j, code) was met before repeats a row already met
+        and is not built.
         """
         marginal, joint = option_table(self.machine)
         n = self.n
         bits = np.arange(self.a, dtype=self.optimal.dtype)
         step = max(1, STREAM_BATCH // (n * self.a))
-        block = step * max(1, CHUNK_VECTORS // step)
+        full = step * max(1, CHUNK_VECTORS // step)
         column = 2 * n + n * np.arange(n)
         digits = 3 ** np.arange(n, dtype=np.int64)
         seen, base_ids, seen_moves = set(), {}, set()
-        for lo in range(0, len(self.avec), block):
-            alice = self.avec[lo : lo + block]
-            optimal = (self.optimal[lo : lo + block, :, None] >> bits) & 1 == 1
+        avec, masks = self.avec[::-1], self.optimal[::-1]
+        lo, block = 0, step
+        while lo < len(avec):
+            alice = avec[lo : lo + block]
+            optimal = (masks[lo : lo + block, :, None] >> bits) & 1 == 1
+            lo, block = lo + block, min(2 * block, full)
             base = optimal.argmax(axis=2)
             s, j, c = np.unravel_index(np.flatnonzero(optimal & (bits != base[:, :, None])), optimal.shape)
             rows = half_rows(self.machine, alice, base)

@@ -405,7 +405,9 @@ def test_eval_refuses_a_float_entry_that_is_not_a_finite_number(tmp_path, capsys
 # sha256 of the full stdout of each verify-facet run.  M3322 local and
 # I3322 were recorded before the strategy-table layer was unified; the
 # M4422 and M5522 runs after the counts became exact strategy counts and the
-# rank evidence the star set of the saturating strategies
+# rank evidence the star set of the saturating strategies; M6622 while the
+# star set was still walked in lexicographic order.  The capped run was
+# re-recorded when the walk was reversed: it reaches rank 29, not 10
 VERIFY_FACET_STDOUT = [
     (["--ineq", "M4422", "--class", "box:pr:3"], 0,
      "11d9eb75ba652b536280a75627ba60179c88bfd1fd2ef751d10694d3fb2d88b3"),
@@ -416,7 +418,9 @@ VERIFY_FACET_STDOUT = [
     (["--ineq", "M5522", "--class", "box:pr:4"], 0,
      "1b3f65c8285af0d016031495f4220e038c1ab265c550b77745e47b2f3c6b06e7"),
     (["--ineq", "M5522", "--class", "box:pr:4", "--max-strategies", "100"], 2,
-     "f4a1c458d0416ded560ddc2c5c653c53a71a6652df211dad14c5cba4e2ccd732"),
+     "c208d548ada4960ce78d621c19a39d9edd19bfdbe1aeab5808d59ffb1a9c2c41"),
+    (["--ineq", "M6622", "--class", "box:pr:5"], 0,
+     "bffb454f075c6aae7a9cf33a4323ae36d529809c5e0fd2c0e1dc1ca62e0a8e36"),
 ]
 
 

@@ -226,11 +226,11 @@ def test_machine_resistant_certificates_are_exact():
     assert certificate_fields(verify_facet(make_mnn22(3), pr_box())) == (524, 8, 14, False)
     assert certificate_fields(verify_facet(make_mnn22(4), pr_machine(3))) == (10936, 16, 23, False)
     assert certificate_fields(verify_facet(make_mnn22(5), pr_machine(4))) == (385576, 32, 34, False)
-    # the cap counts distinct behaviors; the star order reaches rank 34 at the 500th
-    reached = verify_facet(make_mnn22(5), pr_machine(4), max_strategies=500)
+    # the cap counts distinct behaviors; the star order reaches rank 34 at the 269th
+    reached = verify_facet(make_mnn22(5), pr_machine(4), max_strategies=269)
     assert certificate_fields(reached) == (385576, 32, 34, False)
-    assert len(reached.saturating_points) == 500
-    capped = verify_facet(make_mnn22(5), pr_machine(4), max_strategies=499)
+    assert len(reached.saturating_points) == 269
+    capped = verify_facet(make_mnn22(5), pr_machine(4), max_strategies=268)
     assert certificate_fields(capped) == (385576, 32, 33, True)
     assert certificate_fields(verify_facet(make_mnn22(3), pr_box(), max_strategies=2)) == (524, 8, 1, True)
 

@@ -31,6 +31,7 @@ from bellbox.strategies import (
     deterministic_point,
     enumerate_local,
     enumerate_one_machine,
+    half_rows,
     max_min_over_one_machine,
     max_over_one_machine,
     opt_machine,
@@ -502,25 +503,26 @@ def test_machine_resistant_maximizers_are_pinned(n):
 
 
 # sha256 of the concatenated int8 blocks of distinct star rows, recorded when
-# the stream was built outside `DecoupledMax`; the last case cuts M4422's 824
-# attaining vectors into batches of two
+# the stream first walked the attaining vectors from the last one back; the
+# last case cuts M4422's 824 attaining vectors into batches of two, so its
+# blocks grow from one batch through many doublings
 STAR_ROW_DIGESTS = {
     "M3322": (lambda: (make_mnn22(3), pr_box()), None,
-              "7ccd45a2451bee069be90dfd42fe75bec0397a78273bd2ee5b015828e4d55da7"),
+              "f57c66c5a9e90ac6d648208e824a000c5b63a77ddd014d2f7d1293144c10907b"),
     "M4422": (lambda: (make_mnn22(4), pr_machine(3)), None,
-              "601517c06a795af17f517d367f092d58198daf0a865734fa3be94bbdd146f7aa"),
+              "362be48d0fa5dfef5f097fb8ab51196f070378dea1b8c1049492ecd4f1d36fa1"),
     "M5522": (lambda: (make_mnn22(5), pr_machine(4)), None,
-              "8320ac0a62b31d3167c329d1624995ecfd7cb88edefddbfecfecf9fff4476873"),
+              "ac74d6ed5ab03c0474c910d17395e40f2157bbd20ca9ab972fb8beeeb1b53f6c"),
     "M4422-relabeled": (lambda: (transform(make_mnn22(4), random_element(4, random.Random(1))), pr_machine(3)), None,
-                        "eb6d8a856d2bd98819c999cc097b5502c77169281be245023aec372d88f038a9"),
+                        "d85c97bae57d9e9ce2a252948436f99c61a4c6494ffdde43ab8ecf2a785fedc9"),
     "I3322-relabeled": (lambda: (transform(make_inn22(3), random_element(3, random.Random(2))), pr_box()), None,
-                        "0e47a6d2fa410b878e9366f73a1d55cc6891243d8dcc1ca38641ecd93bbd3755"),
+                        "c4f8942c063811ccac5dbdc8d77ac0b983de0242ba68a84fa0040ce82632db8f"),
     "I4422-local": (lambda: (make_inn22(4), None), None,
-                    "1b64bcdf1091ad430ace1399277a7df834b676568319ef65d7e6fccccd39a2d5"),
+                    "17025c7b5e6387d15107467e6df4f3cfd1e22dcdddf1098e666b6239429bd65c"),
     "CHSH3-local": (lambda: (make_chsh(3), None), None,
-                    "c4940eb380aba7891e7492c2973f6bbc64b9a74cf1f0004790230a8dea60633c"),
+                    "3f4cd179e6d9454fb6394692a4d20ecc8e0202aa170b09c0583edc4413543f26"),
     "M4422-batch-64": (lambda: (make_mnn22(4), pr_machine(3)), 64,
-                       "8c2c6aa091aa6dc65ef47952f33278a7eda36d6a1fb47921dcb6d9ac2bac77a9"),
+                       "69230f285f189dc17628499ebf6606f2b49efce4583858011f702209ff20b981"),
 }
 
 
@@ -535,6 +537,42 @@ def test_star_rows_are_pinned(monkeypatch, case):
     rows = np.concatenate(blocks)
     assert len(np.unique(rows, axis=0)) == len(rows)
     assert hashlib.sha256(b"".join(block.tobytes() for block in blocks)).hexdigest() == digest
+
+
+@pytest.mark.parametrize("chunk, count", [(CHUNK_VECTORS, 9), (8, 105)])
+def test_star_blocks_double_from_one_batch(monkeypatch, chunk, count):
+    # M4422's 824 attaining vectors in batches of two: blocks of 2, 4, 8, ...
+    # vectors, up to 4,096 (9 blocks) or, with 8-vector chunks, 2, 4, then 8s
+    monkeypatch.setattr(strategies, "STREAM_BATCH", 64)
+    monkeypatch.setattr(strategies, "CHUNK_VECTORS", chunk)
+    state = DecoupledMax(make_mnn22(4), pr_machine(3))
+    assert len(state.avec) == 824
+    assert len(list(state.star_rows())) == count
+
+
+@pytest.mark.parametrize("case", sorted(STAR_ROW_DIGESTS))
+def test_star_rows_are_the_star_set(monkeypatch, case):
+    # per attaining Alice vector: the base row (Bob's first optimal option in
+    # every setting) and each row that moves one setting to another optimal option
+    build, batch, _ = STAR_ROW_DIGESTS[case]
+    if batch is not None:
+        monkeypatch.setattr(strategies, "STREAM_BATCH", batch)
+    f, machine = build()
+    state = DecoupledMax(f, machine)
+    expected = set()
+    for alice, optimal in zip(state.avec.tolist(), option_bits(state).tolist()):
+        base = [options.index(True) for options in optimal]
+        bobs = [base] + [
+            base[:j] + [c] + base[j + 1 :]
+            for j, options in enumerate(optimal)
+            for c in range(state.a)
+            if options[c] and c != base[j]
+        ]
+        expected.update(row.tobytes() for row in half_rows(machine, alice, bobs))
+    rows = np.concatenate(list(state.star_rows()))
+    streamed = [row.tobytes() for row in rows]
+    assert len(set(streamed)) == len(streamed)
+    assert set(streamed) == expected
 
 
 @pytest.mark.parametrize("chunk", [CHUNK_VECTORS, 6])
