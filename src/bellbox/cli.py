@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -250,6 +251,10 @@ def _cmd_enum_local(args) -> int:
     return 0
 
 
+# every coordinate of a no-signaling vertex is 0, 1/2 or 1
+_HALF_TEXT = ("0", "1/2", "1")
+
+
 def _cmd_enum_ns(args) -> int:
     from . import polytope
 
@@ -261,13 +266,15 @@ def _cmd_enum_ns(args) -> int:
     if args.count:
         _emit(str(len(rows)), args.output)
         return 0
-    scenario = behavior.Scenario(args.n)
+    n = args.n
 
-    def docs():
+    def docs():  # what `behavior.to_json_dict` writes for the exact point `row` / 2
         for row in rows.tolist():
-            doc = behavior.to_json_dict(behavior.from_half_units(scenario, row))
+            cells = [_HALF_TEXT[h] for h in row]
+            doc = {"backend": "exact", "n": n, "alice": cells[:n], "bob": cells[n : 2 * n],
+                   "joint": [cells[(i + 2) * n : (i + 3) * n] for i in range(n)]}
             if args.classify:
-                doc["class"] = polytope.classify_vertex_n3(row) if args.n == 3 else "PR"
+                doc["class"] = polytope.classify_vertex_n3(row) if n == 3 else "PR"
             yield doc
 
     _emit_list(docs(), args.output)
@@ -469,6 +476,10 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    # bellbox's arrays are int64 (no BLAS path) or small float stacks, so the
+    # worker threads OpenBLAS starts per core when numpy loads only spin; the
+    # handlers load numpy, so this runs first.  A value the user set wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

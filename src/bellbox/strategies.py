@@ -46,6 +46,13 @@ DEFAULT_SETTING_CAP = 6
 # Alice choice vectors are walked in blocks of at most this many
 CHUNK_VECTORS = 4096
 
+# `_split` refuses a search with more heads than this.  Building the head
+# tables peaks at about 8 * a * (2n - tail settings) bytes per head, so the
+# largest search kept in reach, M8822 against `pr_machine(7)` (16^5 heads of
+# 16 options), peaks at about 1,750 MB; local CHSH at 36 settings (2^24 heads)
+# would need about 3,200 MB for its int64 head vectors alone.
+MAX_HEADS = 16**5
+
 OPT_DET0 = 0
 OPT_DET1 = 1
 
@@ -296,6 +303,11 @@ def _split(f: BellFunctional, machine: MachineSpec | None, dtype: np.dtype) -> t
         return alice, term
 
     free = max(k for k in range(n + 1) if a**k <= CHUNK_VECTORS)
+    if a ** (n - free) > MAX_HEADS:
+        raise ValueError(
+            f"{n} settings with {a} options each need {a}^{n - free} = {a ** (n - free)} head vectors; "
+            f"at most {MAX_HEADS} fit in memory"
+        )
     heads = _code_vectors(n - free, a).astype(np.int8)
     tails = _code_vectors(free, a).astype(np.int8)
     head_alice, head_term = parts(heads, slice(0, n - free))

@@ -387,6 +387,13 @@ def test_a_one_input_box_exits_one(capsys):
     assert out == ""
 
 
+def test_a_search_whose_heads_cannot_fit_exits_one(capsys):
+    code, out, err = run(capsys, "verify-facet", "--ineq", "CHSH99", "--class", "local")
+    assert_one_line_error(code, err)
+    assert "99 settings with 2 options each need 2^87" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("bad", ["NaN", "Infinity", "true", '"0.5"'])
 def test_eval_refuses_a_float_entry_that_is_not_a_finite_number(tmp_path, capsys, bad):
     (tmp_path / "functional.json").write_text(json.dumps(functional_to_json_dict(make_chsh(2))))

@@ -30,9 +30,9 @@ PUBLIC_NAMES = [
 MODULES = ("behavior", "functionals", "machines", "polytope", "quantum", "strategies")
 
 
-def python(code, *argv, cwd=None):
-    """Run `code` in a fresh interpreter that imports bellbox from this source tree."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+def python(code, *argv, cwd=None, environ=os.environ):
+    """Run `code` in a fresh interpreter, with `environ`, that imports bellbox from this source tree."""
+    env = {**environ, "PYTHONPATH": os.pathsep.join([str(SRC), *filter(None, [environ.get("PYTHONPATH")])])}
     return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, cwd=cwd,
                           timeout=120)
 
@@ -98,3 +98,45 @@ def test_quantum_sweep_loads_no_table_module(tmp_path):
     loaded = loaded_by(tmp_path, "quantum", "sweep", "--ineq", "CHSH", "--grid", "2", "--restarts", "1")
     assert "bellbox.quantum" in loaded
     assert not loaded & {"bellbox.polytope", "bellbox.strategies", "bellbox.machines"}
+
+
+def environ_without_blas_threads(**extra):
+    """This process's environment with no OPENBLAS_NUM_THREADS of its own, which pytest's may carry."""
+    return {**{k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}, **extra}
+
+
+# runs a numpy-loading command in-process, then prints the process's thread
+# count and its OPENBLAS_NUM_THREADS
+THREADS = """
+import os, sys
+from bellbox.cli import main
+assert main(["enum-ns", "--n", "2", "--count"]) == 0 and "numpy" in sys.modules
+print(len(os.listdir("/proc/self/task")), os.environ["OPENBLAS_NUM_THREADS"], file=sys.stderr)
+"""
+
+needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="threads are counted in /proc")
+
+
+@needs_proc
+def test_the_cli_loads_numpy_with_one_blas_thread(tmp_path):
+    child = python(THREADS, cwd=tmp_path, environ=environ_without_blas_threads())
+    assert child.returncode == 0, child.stderr
+    assert child.stderr.split()[-2:] == ["1", "1"]
+
+
+@needs_proc
+def test_the_cli_keeps_a_blas_thread_count_the_user_set(tmp_path):
+    child = python(THREADS, cwd=tmp_path, environ=environ_without_blas_threads(OPENBLAS_NUM_THREADS="2"))
+    assert child.returncode == 0, child.stderr
+    threads, setting = child.stderr.split()[-2:]
+    assert setting == "2"
+    # OpenBLAS starts no more threads than the process may run on
+    assert int(threads) == min(2, len(os.sched_getaffinity(0)))
+
+
+def test_importing_the_cli_leaves_the_environment_alone():
+    child = python(
+        "import os; before = dict(os.environ); import bellbox.cli; assert dict(os.environ) == before",
+        environ=environ_without_blas_threads(),
+    )
+    assert child.returncode == 0, child.stderr

@@ -353,6 +353,25 @@ def test_negative_collect_cap_is_refused():
         max_over_one_machine(make_mnn22(3), pr_box(), collect_cap=-5)
 
 
+class HeadsBuilt(Exception):
+    """Raised in place of building the head vectors, so no test allocates them."""
+
+
+@pytest.mark.parametrize("f, machine, refused", [
+    (make_mnn22(8), pr_machine(7), False),  # 16^5 heads, the largest search kept in reach
+    (make_chsh(32), None, False),  # 2^20 heads
+    (make_chsh(33), None, True),
+    (make_mnn22(9), pr_machine(8), True),  # 18^7 heads
+], ids=["M8822-pr7", "CHSH32-local", "CHSH33-local", "M9922-pr8"])
+def test_split_refuses_heads_that_cannot_fit_before_building_them(monkeypatch, f, machine, refused):
+    def build(n, a):
+        raise HeadsBuilt
+
+    monkeypatch.setattr(strategies, "_code_vectors", build)
+    with pytest.raises(ValueError if refused else HeadsBuilt, match="head vectors" if refused else None):
+        strategies._split(f, machine, np.int64)
+
+
 def test_max_min_of_the_paired_relaxations():
     c1, c2 = make_c1(3), make_c2(3)
     # every pr_box strategy, doubled values of both relaxations per row
